@@ -40,10 +40,9 @@ struct ExecStats {
   /// below wall_seconds — planning glue and root totals are untimed.
   StageWall stage;
 
-  /// B > 1 accumulation telemetry (all-zero at B = 1): which engine the
-  /// phases ran on (probe vs sharded, see CCBT_ACCUM), how many
-  /// emissions the combining caches folded away before the seal, run-bulk
-  /// API usage, and how evenly the shard cut spread the key space.
+  /// Accumulation telemetry: phases, and the rows and bytes each phase
+  /// handed to its seal; at B > 1 also how many emissions the flat
+  /// sink's combining cache folded away before the seal.
   AccumTelemetry accum;
 
   /// Fault-tolerance scoreboard (injected faults, retries, replays,

@@ -17,7 +17,8 @@ namespace ccbt {
                                               ProjTableT<B>&,               \
                                               const ProjTableT<B>&,          \
                                               const ExtendOpts&);            \
-  template ProjTableT<B> node_join<B>(const ExecContext&, ProjTableT<B>&,    \
+  template ProjTableT<B> node_join<B>(const ExecContext&,                   \
+                                      const ProjTableT<B>&,                  \
                                       const ProjTableT<B>&, int);            \
   template void merge_halves<B>(const ExecContext&, ProjTableT<B>&,          \
                                 ProjTableT<B>&, const MergeSpec&,            \

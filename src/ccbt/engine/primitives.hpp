@@ -177,12 +177,8 @@ template <int B, typename Emit>
 FlatRowsT<B> accumulate_flat(const ExecContext& cx, std::size_t n,
                              Emit&& emit) {
   ScopedStage timed(cx.stage_slot(&StageWall::accumulate));
-  // Every sink is bound to its accumulation engine up front (the
-  // CCBT_ACCUM-pinnable probe/sharded choice): the per-row appends then
-  // never test or allocate their caches, and the run-bulk extend path
-  // can be entered for the whole phase. The graph's vertex count is the
-  // shard-cut domain — emitted v1 values are vertices or kNoVertex.
-  const VertexId shard_domain = cx.g.num_vertices();
+  // Every sink stands up its combining cache before the emission loop,
+  // so the per-row appends never allocate it.
 #ifdef _OPENMP
   if (cx.opts.use_threads && pool_threads() > 1 && n > 4096) {
     const int threads = pool_threads();
@@ -191,7 +187,7 @@ FlatRowsT<B> accumulate_flat(const ExecContext& cx, std::size_t n,
 #pragma omp parallel num_threads(threads)
     {
       FlatRowsT<B>& local = rows[omp_get_thread_num()];
-      local.prepare_emit(AccumEngine::kAuto, shard_domain);
+      local.prepare_emit();
 #pragma omp for schedule(dynamic, 512)
       for (std::size_t i = 0; i < n; ++i) {
         if (budget_hit.load(std::memory_order_relaxed)) continue;
@@ -219,7 +215,7 @@ FlatRowsT<B> accumulate_flat(const ExecContext& cx, std::size_t n,
   }
 #endif
   FlatRowsT<B> out;
-  out.prepare_emit(AccumEngine::kAuto, shard_domain);
+  out.prepare_emit();
   for (std::size_t i = 0; i < n; ++i) {
     emit(i, out);
     if ((i & 0xFFF) == 0) check_budget(cx, out.size());
@@ -605,12 +601,11 @@ ProjTableT<B> extend_with_graph_grouped(const ExecContext& cx,
             side16.push_back((rank << 8) | a);
           }
 
-          // Probe engine: pipeline the combining-cache probes a tile
-          // ahead — prefetch each slot at enqueue, append on flush, so
-          // the dependent slot load is in flight across a tile of
-          // emissions instead of stalling every append. (Emission
-          // order within a sink never changes sealed counts: every
-          // fold is an exact u64 sum.) Idle when the sink is sharded.
+          // Pipeline the combining-cache probes a tile ahead: prefetch
+          // each slot at enqueue, append on flush, so the dependent slot
+          // load is in flight across a tile of emissions instead of
+          // stalling every append. (Emission order within a sink never
+          // changes sealed counts: every fold is an exact u64 sum.)
           constexpr int kTile = 16;
           struct Pending {
             std::uint64_t k;
@@ -632,22 +627,17 @@ ProjTableT<B> extend_with_graph_grouped(const ExecContext& cx,
             tile[tn++] = {k, static_cast<std::uint32_t>(row), m};
             if (tn == kTile) flush_tile();
           };
-
-          // Frontier-side dedup (sparse emission format only, so
-          // CCBT_EMIT=dense reproduces the oracle path exactly): the
-          // bucket is sorted by (v0, sig), so emissions for one (v, w)
-          // burst repeat keys back to back — sibling rows whose
-          // signatures close over the same color set. A one-row pending
-          // register folds those bursts before they reach a shard or
-          // probe slot: fewer records pushed, fewer cache probes. Every
-          // fold is an exact u16-checked sum, flushed on key change,
-          // overflow, or burst end, so sealed counts are unchanged.
-          const bool dedup = sink.sparse();
-          using Row16 = PackedFlatRowT<B, std::uint16_t>;
-          std::uint64_t pend_k = ~std::uint64_t{0};
-          Row16 pend;
-          LaneMask pend_m = 0;
-          std::uint64_t folds = 0;
+          // Color >= 8: the signature no longer fits the packed key's
+          // 8-bit field, so the row takes the generic masked append.
+          auto emit_wide_sig = [&](std::size_t row, VertexId w,
+                                   Signature sig, LaneMask m) {
+            TableKey key;
+            key.v[0] = static_cast<VertexId>(rows16[row].k >> 36);
+            key.v[1] = w;
+            key.sig = sig;
+            sink.append_masked(key, flat->expand(row), m,
+                               std::uint64_t{0xFFFF});
+          };
 
           for (VertexId w : g.neighbors(v)) {
             const std::uint64_t cw = cx.chi.colors_word(w);
@@ -665,57 +655,6 @@ ProjTableT<B> extend_with_graph_grouped(const ExecContext& cx,
                                 }) -
                             side16.begin());
             }
-            // Sharded engine: the whole (v, w) burst shares v1 == w,
-            // so it lands in one shard — resolve the shard and its
-            // cache slice once and emit through the run handle (one
-            // L1 probe + push per row). Invalid on the probe engine,
-            // and re-acquired after any generic fallback, which can
-            // escalate the sink and tear the shards down.
-            auto run = sink.run_u16(w, end - lo);
-            auto flush_pend = [&] {
-              if (pend_k == ~std::uint64_t{0}) return;
-              if (run.valid()) {
-                sink.run_append_u16(run, pend_k, pend, pend_m);
-              } else {
-                sink.append_masked_u16(pend_k, pend, pend_m);
-              }
-              pend_k = ~std::uint64_t{0};
-            };
-            auto emit_fold = [&](std::uint64_t k, const Row16& r2,
-                                 LaneMask m) {
-              if (k == pend_k) {
-                std::array<std::uint32_t, B> sum;
-                std::uint32_t hi = 0;
-                CCBT_SIMD
-                for (int l = 0; l < B; ++l) {
-                  sum[l] = static_cast<std::uint32_t>(pend.c[l]) +
-                           (((m >> l) & 1) != 0 ? r2.c[l]
-                                                : std::uint16_t{0});
-                  hi |= sum[l];
-                }
-                if (hi <= 0xFFFFu) {
-                  CCBT_SIMD
-                  for (int l = 0; l < B; ++l) {
-                    pend.c[l] = static_cast<std::uint16_t>(sum[l]);
-                  }
-                  pend_m |= m;
-                  ++folds;
-                  return;
-                }
-              }
-              flush_pend();
-              pend_k = k;
-              pend.k = k;
-              pend_m = m;
-              CCBT_SIMD
-              for (int l = 0; l < B; ++l) {
-                pend.c[l] = ((m >> l) & 1) != 0 ? r2.c[l]
-                                                : std::uint16_t{0};
-              }
-              // Probe engine: the slot load is in flight while the
-              // burst keeps folding into the register.
-              sink.prefetch_combine(k);
-            };
             for (std::size_t i = lo; i < end; ++i) {
               const std::uint64_t side = side16[i - lo];
               const auto a0 = static_cast<LaneMask>(side & 0xFF);
@@ -737,22 +676,9 @@ ProjTableT<B> extend_with_graph_grouped(const ExecContext& cx,
                 if ((esig & w_bit) != 0) continue;
                 const Signature sig = esig | w_bit;
                 if (sig <= 0xFF) [[likely]] {
-                  if (dedup) {
-                    emit_fold(kbase | sig, r, a0);
-                  } else if (run.valid()) {
-                    sink.run_append_u16(run, kbase | sig, r, a0);
-                  } else {
-                    emit_probe(kbase | sig, i, a0);
-                  }
+                  emit_probe(kbase | sig, i, a0);
                 } else {
-                  flush_pend();
-                  TableKey key;
-                  key.v[0] = static_cast<VertexId>(r.k >> 36);
-                  key.v[1] = w;
-                  key.sig = sig;
-                  sink.append_masked(key, flat->expand(i), a0,
-                                     std::uint64_t{0xFFFF});
-                  run = sink.run_u16(w, 0);
+                  emit_wide_sig(i, w, sig, a0);
                 }
                 cx.send(v, w, 1);
                 continue;
@@ -768,33 +694,15 @@ ProjTableT<B> extend_with_graph_grouped(const ExecContext& cx,
               if (groups.n == 0) continue;
               for (int gi = 0; gi < groups.n; ++gi) {
                 if (groups.sig[gi] <= 0xFF) [[likely]] {
-                  if (dedup) {
-                    emit_fold(kbase | groups.sig[gi], r, groups.mask[gi]);
-                  } else if (run.valid()) {
-                    sink.run_append_u16(run, kbase | groups.sig[gi], r,
-                                        groups.mask[gi]);
-                  } else {
-                    emit_probe(kbase | groups.sig[gi], i, groups.mask[gi]);
-                  }
+                  emit_probe(kbase | groups.sig[gi], i, groups.mask[gi]);
                 } else {
-                  // Color >= 8: the signature no longer fits the packed
-                  // key's 8-bit field.
-                  flush_pend();
-                  TableKey key;
-                  key.v[0] = static_cast<VertexId>(r.k >> 36);
-                  key.v[1] = w;
-                  key.sig = groups.sig[gi];
-                  sink.append_masked(key, flat->expand(i), groups.mask[gi],
-                                     std::uint64_t{0xFFFF});
-                  run = sink.run_u16(w, 0);
+                  emit_wide_sig(i, w, groups.sig[gi], groups.mask[gi]);
                 }
               }
               cx.send(v, w, 1);
             }
-            flush_pend();
           }
           flush_tile();
-          if (folds != 0) sink.note_frontier_folds(folds);
           return;
         }
         thread_local std::vector<TableEntryT<B>> bscratch;
@@ -917,12 +825,10 @@ ProjTableT<B> extend_with_child(const ExecContext& cx, ProjTableT<B>& path,
 
 /// NodeJoin: multiply in a unary child at key slot `slot` (0 = anchor,
 /// 1 = frontier). `child` must be sealed kByV0. `path` may be unsealed;
-/// it is consumed row by row (flattened first when its accumulation
-/// left it sharded — the one primitive that indexes an unsealed table).
+/// it is consumed row by row.
 template <int B>
-ProjTableT<B> node_join(const ExecContext& cx, ProjTableT<B>& path,
+ProjTableT<B> node_join(const ExecContext& cx, const ProjTableT<B>& path,
                         const ProjTableT<B>& child, int slot) {
-  path.ensure_row_access();
   const detail::ChildProbe<B> probe(child);
   return detail::accumulate_rows<B>(
       cx, path.arity(), path.size(), [&](std::size_t i, auto&& emit) {

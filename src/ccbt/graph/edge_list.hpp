@@ -35,7 +35,10 @@ struct EdgeList {
 /// Canonicalize: drop self loops, order endpoints (u < v), sort, dedupe.
 EdgeList simplify(EdgeList list);
 
-/// Text format: one "u v" pair per line; '#' starts a comment line.
+/// Text format: one "u v" pair per line; '#' starts a comment line and
+/// blank lines are skipped. Ids are unsigned decimals below kNoVertex;
+/// a sign, an out-of-range id or anything but blanks after the pair
+/// throws Error.
 EdgeList read_edge_list(std::istream& in);
 EdgeList read_edge_list_file(const std::string& path);
 void write_edge_list(std::ostream& out, const EdgeList& list);

@@ -69,10 +69,24 @@ CsrGraph load_graph_binary(const std::string& path) {
   EdgeList list;
   list.num_vertices = read_pod<VertexId>(in);
   const auto m = read_pod<std::uint64_t>(in);
+  // Check the declared edge count against the bytes actually present
+  // before reserving for it.
+  const std::streampos body = in.tellg();
+  in.seekg(0, std::ios::end);
+  const auto remaining = static_cast<std::uint64_t>(in.tellg() - body);
+  in.seekg(body);
+  constexpr std::uint64_t kEdgeBytes = 2 * sizeof(VertexId);
+  if (m > remaining / kEdgeBytes) {
+    throw Error("load_graph_binary: edge count exceeds file length in " +
+                path);
+  }
   list.edges.reserve(m);
   for (std::uint64_t i = 0; i < m; ++i) {
     const auto u = read_pod<VertexId>(in);
     const auto v = read_pod<VertexId>(in);
+    if (u >= list.num_vertices || v >= list.num_vertices) {
+      throw Error("load_graph_binary: endpoint out of range in " + path);
+    }
     list.edges.push_back({u, v});
   }
   return CsrGraph::from_edges(list);

@@ -23,8 +23,9 @@ CsrGraph load_graph_text(const std::string& path);
 /// Write the binary CSR snapshot.
 void save_graph_binary(const CsrGraph& g, const std::string& path);
 
-/// Load a binary CSR snapshot; throws Error on bad magic, version or a
-/// truncated file.
+/// Load a binary CSR snapshot; throws Error on bad magic, version, a
+/// truncated file, an edge count the file cannot hold, or an endpoint
+/// outside the declared vertex count.
 CsrGraph load_graph_binary(const std::string& path);
 
 }  // namespace ccbt

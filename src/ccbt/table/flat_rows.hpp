@@ -24,26 +24,16 @@
 // runs. Run sums during the merge pass are computed in 64-bit, so the
 // deduped counts are bit-identical to the dense path's.
 //
-// Emission itself runs on one of two engines (AccumEngine below; a sink
-// binds one per accumulation phase via prepare_emit). The probe engine
-// probes a global direct-mapped combining cache per append. The sharded
-// engine — the default — lands u16 rows pre-bucketed in 64 shards cut
-// over the high bits of v1, each with its own L1-sized combining cache,
-// and takes whole same-v1 bursts through a run handle (run_u16) that
-// resolves the shard and cache slice once per burst; the cut is
-// monotone in v1, so the shards hand the kByV1 seal its leading radix
-// digits pre-sorted. Escalation out of u16 flattens the shards in place
-// and continues on the probe path — engine choice is a pure performance
-// knob, sealed tables are bit-identical (tests/test_accum_sharded.cpp).
+// There is one emission path: every append lands in the one flat buffer
+// of the current width, through a direct-mapped combining cache that
+// folds a re-emitted key into its live row while the sum still fits.
+// The seal sorts that buffer with an LSD radix sort from kRadixMinRows
+// rows up and a counting partition + per-bucket comparison sort below;
+// the row count alone picks, and both produce the same sealed table.
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <bit>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
-#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
@@ -57,174 +47,21 @@
 
 namespace ccbt {
 
-/// Which sort the narrow seal uses. kAuto takes the LSD radix sort once
-/// the row count clears its setup cost and the counting-partition +
-/// per-bucket comparison sort below it; the explicit values pin one path
-/// (the seal-sort property tests drive both and assert bit-identical
-/// sealed tables; CCBT_SEAL_SORT=comparison|radix pins a whole process).
-enum class SealSortAlgo : std::uint8_t { kAuto = 0, kComparison = 1, kRadix = 2 };
-
-namespace detail_seal {
-
-inline SealSortAlgo seal_sort_from_env() {
-  const char* env = std::getenv("CCBT_SEAL_SORT");
-  if (env != nullptr) {
-    if (std::strcmp(env, "comparison") == 0) return SealSortAlgo::kComparison;
-    if (std::strcmp(env, "radix") == 0) return SealSortAlgo::kRadix;
-  }
-  return SealSortAlgo::kAuto;
-}
-
-inline std::atomic<SealSortAlgo>& seal_sort_state() {
-  static std::atomic<SealSortAlgo> state{seal_sort_from_env()};
-  return state;
-}
-
-}  // namespace detail_seal
-
-inline SealSortAlgo seal_sort_algo() {
-  return detail_seal::seal_sort_state().load(std::memory_order_relaxed);
-}
-
-/// Override the seal-sort selection process-wide (tests; kAuto restores
-/// the default policy).
-inline void set_seal_sort_algo(SealSortAlgo a) {
-  detail_seal::seal_sort_state().store(a, std::memory_order_relaxed);
-}
-
-/// Which accumulation engine the B > 1 sinks run. kProbe is the
-/// original per-emission combining-cache probe into one flat buffer —
-/// kept as the differential oracle. kSharded routes u16 emissions into
-/// 1 << kShardBits shards cut by the high bits of the packed v1 field:
-/// duplicate bursts collapse inside a cache-resident shard, and the
-/// slot-1 seal sorts each shard independently (its leading radix
-/// passes are pre-satisfied by the shard order). kAuto resolves to
-/// kSharded whenever the producer supplies a vertex domain. Both
-/// engines feed the same sort-merge seal, and every count is an exact
-/// u64 sum, so sealed tables are bit-identical either way (the parity
-/// tests assert it). CCBT_ACCUM=probe|sharded pins a whole process.
-enum class AccumEngine : std::uint8_t { kAuto = 0, kProbe = 1, kSharded = 2 };
-
-namespace detail_accum {
-
-inline AccumEngine accum_from_env() {
-  const char* env = std::getenv("CCBT_ACCUM");
-  if (env != nullptr) {
-    if (std::strcmp(env, "probe") == 0) return AccumEngine::kProbe;
-    if (std::strcmp(env, "sharded") == 0) return AccumEngine::kSharded;
-  }
-  return AccumEngine::kAuto;
-}
-
-inline std::atomic<AccumEngine>& accum_state() {
-  static std::atomic<AccumEngine> state{accum_from_env()};
-  return state;
-}
-
-}  // namespace detail_accum
-
-inline AccumEngine accum_engine() {
-  return detail_accum::accum_state().load(std::memory_order_relaxed);
-}
-
-/// Override the accumulation-engine selection process-wide (tests;
-/// kAuto restores the default policy).
-inline void set_accum_engine(AccumEngine e) {
-  detail_accum::accum_state().store(e, std::memory_order_relaxed);
-}
-
-/// Which row format u16 emissions land in. kDense is the fixed-stride
-/// union-of-lanes row (8-byte key + all B u16 counts — 24 bytes at
-/// B = 8) — kept bit-identical as the differential oracle. kSparse is a
-/// variable-length record: 8-byte key + occupancy byte + only the
-/// occupied u16 counts (~11-12 bytes at the Fig 15 workload's ~0.15
-/// lane density), cutting the emission and seal byte traffic that made
-/// B = 8 accumulate structurally ~1.2x of 8 x B = 1. The format is a
-/// pure performance knob: zero lanes carry no information, seal-time
-/// run sums are exact u64 adds either way, and the sparse seal decodes
-/// into the same fixed-stride sorted rows the dense seal produces, so
-/// sealed tables are bit-identical (the parity tests assert it).
-///
-/// kAuto is adaptive: a sharded phase starts on dense rows (records
-/// pay an extra seal-time decode pass that loses on cache-resident
-/// tables) and flips to sparse records once it crosses
-/// sparse_flip_rows() — re-encoding the rows emitted so far, in order,
-/// so the sealed result stays bit-identical — which confines the
-/// format to the large bandwidth-bound phases where its byte saving
-/// wins. CCBT_EMIT=dense|sparse pins a whole process to one format
-/// unconditionally.
-enum class EmitFormat : std::uint8_t { kAuto = 0, kDense = 1, kSparse = 2 };
-
-namespace detail_emit {
-
-inline EmitFormat emit_from_env() {
-  const char* env = std::getenv("CCBT_EMIT");
-  if (env != nullptr) {
-    if (std::strcmp(env, "dense") == 0) return EmitFormat::kDense;
-    if (std::strcmp(env, "sparse") == 0) return EmitFormat::kSparse;
-  }
-  return EmitFormat::kAuto;
-}
-
-inline std::atomic<EmitFormat>& emit_state() {
-  static std::atomic<EmitFormat> state{emit_from_env()};
-  return state;
-}
-
-}  // namespace detail_emit
-
-inline EmitFormat emit_format() {
-  return detail_emit::emit_state().load(std::memory_order_relaxed);
-}
-
-/// Override the emission-format selection process-wide (tests; kAuto
-/// restores the default policy).
-inline void set_emit_format(EmitFormat f) {
-  detail_emit::emit_state().store(f, std::memory_order_relaxed);
-}
-
-namespace detail_emit {
-
-/// Default row count at which a kAuto sharded phase flips from dense
-/// rows to sparse records. Chosen from bench_accumulate: the sparse
-/// format's seal (per-shard key/offset radix over cache-resident shard
-/// buffers) and its thinner emission stream break even around ~1M rows
-/// (-4% total wall) and win clearly beyond (-19% at 4M); below the
-/// crossover the record decode pass is pure overhead.
-inline constexpr std::size_t kDefaultSparseFlipRows = std::size_t{1} << 20;
-
-inline std::atomic<std::size_t>& flip_state() {
-  static std::atomic<std::size_t> state{kDefaultSparseFlipRows};
-  return state;
-}
-
-}  // namespace detail_emit
-
-inline std::size_t sparse_flip_rows() {
-  return detail_emit::flip_state().load(std::memory_order_relaxed);
-}
-
-/// Override the kAuto dense-to-sparse flip threshold process-wide
-/// (tests force tiny tables across the flip; 0 flips immediately).
-inline void set_sparse_flip_rows(std::size_t rows) {
-  detail_emit::flip_state().store(rows, std::memory_order_relaxed);
-}
-
 /// Accumulation-stage telemetry, collected per phase from the reduced
-/// sink before it seals (ExecStats::accum). The fold counters say how
-/// much sort input the combining caches removed; the occupancy pair
-/// says how evenly the shard cut spread the key space.
+/// sink before it seals (ExecStats::accum). combine_folds says how much
+/// sort input the combining cache removed. The fields marked "always 0"
+/// stay only because benchmark reports still read them.
 struct AccumTelemetry {
   std::uint64_t phases = 0;           // accumulation phases observed
-  std::uint64_t sharded_phases = 0;   // phases run on the sharded engine
-  std::uint64_t sparse_phases = 0;    // phases emitting sparse records
+  std::uint64_t sharded_phases = 0;   // always 0
+  std::uint64_t sparse_phases = 0;    // always 0
   std::uint64_t rows = 0;             // rows handed to the seal
   std::uint64_t emit_bytes = 0;       // bytes those rows occupy pre-seal
   std::uint64_t combine_folds = 0;    // emissions folded into a live row
-  std::uint64_t frontier_folds = 0;   // same-key bursts folded pre-emission
-  std::uint64_t run_emits = 0;        // emissions via the run-bulk API
-  std::uint64_t shards_occupied = 0;  // shards holding >= 1 row
-  std::uint64_t shard_slots = 0;      // shards available (sharded phases)
+  std::uint64_t frontier_folds = 0;   // always 0
+  std::uint64_t run_emits = 0;        // always 0
+  std::uint64_t shards_occupied = 0;  // always 0
+  std::uint64_t shard_slots = 0;      // always 0
   void add(const AccumTelemetry& o) {
     phases += o.phases;
     sharded_phases += o.sharded_phases;
@@ -236,11 +73,6 @@ struct AccumTelemetry {
     run_emits += o.run_emits;
     shards_occupied += o.shards_occupied;
     shard_slots += o.shard_slots;
-  }
-  double shard_occupancy() const {
-    return shard_slots == 0 ? 0.0
-                            : static_cast<double>(shards_occupied) /
-                                  static_cast<double>(shard_slots);
   }
   double bytes_per_row() const {
     return rows == 0 ? 0.0
@@ -274,8 +106,6 @@ class FlatRowsT {
   /// Active row representation; ordered so std::max picks the wider one.
   enum class Mode : std::uint8_t { kU16 = 0, kU32 = 1, kWide = 2 };
 
-  using Row16 = PackedFlatRowT<B, std::uint16_t>;
-
   /// Direct-mapped combining cache slot: packed key -> row index of its
   /// last appearance. A slot is only ever a hint — it is checked against
   /// the row it points at before any fold, so a stale, colliding or
@@ -288,8 +118,6 @@ class FlatRowsT {
   FlatRowsT() = default;
 
   std::size_t size() const {
-    if (sharded_) return shard_rows_;
-    if (sparse_) return sp_rows_;
     switch (mode_) {
       case Mode::kU16: return n16_.size();
       case Mode::kU32: return n32_.size();
@@ -317,23 +145,6 @@ class FlatRowsT {
   /// Pre-size the current row buffer (a lower-bound emission estimate
   /// from the producer saves the doubling-growth copies).
   void reserve_hint(std::size_t n) {
-    if (sharded_) {
-      // Spread the estimate across the shards; skip when the per-shard
-      // share is too small to beat the doubling growth anyway.
-      const std::size_t per = n >> kShardBits;
-      if (per >= 64) {
-        if (sparse_) {
-          for (auto& buf : shard_sp16_) buf.reserve(per * kSparseRowGuess);
-        } else {
-          for (auto& shard : shard16_) shard.reserve(per);
-        }
-      }
-      return;
-    }
-    if (sparse_) {
-      sp16_.reserve(n * kSparseRowGuess);
-      return;
-    }
     switch (mode_) {
       case Mode::kU16: n16_.reserve(n); return;
       case Mode::kU32: n32_.reserve(n); return;
@@ -354,13 +165,6 @@ class FlatRowsT {
 
   /// Bytes the rows occupy in the current representation.
   std::uint64_t byte_size() const {
-    if (sparse_) {
-      if (!sharded_) return sp16_.size();
-      std::uint64_t b = 0;
-      for (const auto& buf : shard_sp16_) b += buf.size();
-      return b;
-    }
-    if (sharded_) return shard_rows_ * sizeof(Row16);
     switch (mode_) {
       case Mode::kU16: return n16_.size() * sizeof(n16_[0]);
       case Mode::kU32: return n32_.size() * sizeof(n32_[0]);
@@ -380,35 +184,18 @@ class FlatRowsT {
   /// the measured duplicate factor of the Fig 15 workload is 1.3-1.8x.
   /// Sums are exact u64 adds, so seal-time counts are unchanged.
   void append(const TableKey& key, const Vec& cnt) {
-    if (!prepared_) [[unlikely]] prepare_emit(AccumEngine::kAuto, 0);
+    if (combine_.empty()) [[unlikely]] prepare_emit();
     if (mode_ != Mode::kWide && packable_key(key)) {
       // OR of the lanes bounds the max: any count above the width has a
       // high bit the OR keeps.
       Count hi = 0;
       for (int l = 0; l < B; ++l) hi |= LaneOps<B>::lane(cnt, l);
       const std::uint64_t k = pack_key(key);
-      if (sharded_ && !sparse_ && shard_rows_ >= sparse_flip_at_)
-        [[unlikely]] {
-        flip_shards_to_sparse();
-      }
-      if (sparse_) {
-        if (hi <= 0xFFFFull) {
-          sparse_emit_vec(k, cnt, ~LaneMask{0});
-          return;
-        }
-        unsparse();  // oversized count: continue on the dense paths below
-      }
-      if (sharded_) {
-        if (hi <= 0xFFFFull) {
-          shard_emit_vec(k, cnt, ~LaneMask{0});
-          return;
-        }
-        unshard();  // oversized count: continue on the probe path below
-      }
       CombineSlot& slot = combine_[combine_hash(k)];
       if (mode_ == Mode::kU16) {
         if (slot.k == k && slot.idx < n16_.size() && n16_[slot.idx].k == k &&
             combine(n16_[slot.idx], cnt, std::uint64_t{0xFFFF})) {
+          ++combine_folds_;
           return;
         }
         if (hi <= 0xFFFFull) {
@@ -422,6 +209,7 @@ class FlatRowsT {
       if (mode_ == Mode::kU32) {
         if (slot.k == k && slot.idx < n32_.size() && n32_[slot.idx].k == k &&
             combine(n32_[slot.idx], cnt, std::uint64_t{0xFFFFFFFF})) {
+          ++combine_folds_;
           return;
         }
         if (hi <= 0xFFFFFFFFull) {
@@ -446,7 +234,7 @@ class FlatRowsT {
   /// never escalates the buffer).
   void append_masked(const TableKey& key, const Vec& src, LaneMask m,
                      Count src_hi) {
-    if (!prepared_) [[unlikely]] prepare_emit(AccumEngine::kAuto, 0);
+    if (combine_.empty()) [[unlikely]] prepare_emit();
     if (mode_ != Mode::kWide && packable_key(key)) {
       Count hi = src_hi;
       if ((mode_ == Mode::kU16 && hi > 0xFFFFull) ||
@@ -454,28 +242,11 @@ class FlatRowsT {
         hi = masked_or(src, m);
       }
       const std::uint64_t k = pack_key(key);
-      if (sharded_ && !sparse_ && shard_rows_ >= sparse_flip_at_)
-        [[unlikely]] {
-        flip_shards_to_sparse();
-      }
-      if (sparse_) {
-        if (hi <= 0xFFFFull) {
-          sparse_emit_vec(k, src, m);
-          return;
-        }
-        unsparse();  // oversized count: continue on the dense paths below
-      }
-      if (sharded_) {
-        if (hi <= 0xFFFFull) {
-          shard_emit_vec(k, src, m);
-          return;
-        }
-        unshard();  // oversized count: continue on the probe path below
-      }
       CombineSlot& slot = combine_[combine_hash(k)];
       if (mode_ == Mode::kU16) {
         if (slot.k == k && slot.idx < n16_.size() && n16_[slot.idx].k == k &&
             combine_masked(n16_[slot.idx], src, m, std::uint64_t{0xFFFF})) {
+          ++combine_folds_;
           return;
         }
         if (hi <= 0xFFFFull) {
@@ -490,6 +261,7 @@ class FlatRowsT {
         if (slot.k == k && slot.idx < n32_.size() && n32_[slot.idx].k == k &&
             combine_masked(n32_[slot.idx], src, m,
                            std::uint64_t{0xFFFFFFFF})) {
+          ++combine_folds_;
           return;
         }
         if (hi <= 0xFFFFFFFFull) {
@@ -513,32 +285,7 @@ class FlatRowsT {
                          const PackedFlatRowT<B, std::uint16_t>& src,
                          LaneMask m) {
     if (mode_ == Mode::kU16) [[likely]] {
-      if (!prepared_) [[unlikely]] prepare_emit(AccumEngine::kAuto, 0);
-      if (sharded_ && !sparse_ && shard_rows_ >= sparse_flip_at_)
-        [[unlikely]] {
-        flip_shards_to_sparse();
-      }
-      if (sparse_) {
-        if (sharded_) {
-          const std::size_t s = shard_of(k);
-          if (sparse_fold_or_push(shard_sp16_[s], shard_slot(s, k), k, src,
-                                  m)) {
-            ++shard_sp_rows_[s];
-            ++shard_rows_;
-          }
-          return;
-        }
-        if (sparse_fold_or_push(sp16_, combine_[combine_hash(k)], k, src,
-                                m)) {
-          ++sp_rows_;
-        }
-        return;
-      }
-      if (sharded_) {
-        const std::size_t s = shard_of(k);
-        fold_or_push(shard16_[s], shard_slot(s, k), k, src, m);
-        return;
-      }
+      if (combine_.empty()) [[unlikely]] prepare_emit();
       CombineSlot& slot = combine_[combine_hash(k)];
       if (slot.k == k && slot.idx < n16_.size() && n16_[slot.idx].k == k) {
         std::array<std::uint32_t, B> sum;
@@ -554,6 +301,7 @@ class FlatRowsT {
           for (int l = 0; l < B; ++l) {
             n16_[slot.idx].c[l] = static_cast<std::uint16_t>(sum[l]);
           }
+          ++combine_folds_;
           return;
         }
       }
@@ -576,277 +324,32 @@ class FlatRowsT {
 
   // --------------------------------------------- accumulation phases
 
-  /// Bind this sink to an accumulation engine for the coming phase.
+  /// Stand up the combining cache for the coming accumulation phase.
   /// accumulate_flat calls this once per sink before its emission loop,
-  /// which is what lets the per-row appends skip the old lazy
-  /// combining-cache resize; a stray direct append still self-prepares
-  /// through an [[unlikely]] guard, landing on the probe engine.
-  ///
-  /// `want` == kAuto defers to the process-wide pin (CCBT_ACCUM /
-  /// set_accum_engine), which itself defaults to the sharded engine.
-  /// The sharded engine needs the producer's vertex domain to place the
-  /// shard cut over v1 (and a fresh u16 sink to shard into); without
-  /// either it degrades to the probe engine. Idempotent until clear().
-  void prepare_emit(AccumEngine want, VertexId domain) {
-    if (prepared_) return;
-    prepared_ = true;
-    if (sharded_) {
-      // Still holding sharded rows from a phase whose caches were
-      // dropped: keep the cut (and the row format), just stand the
-      // shard caches back up.
-      engine_ = AccumEngine::kSharded;
-      if (shard_combine_.empty()) {
-        shard_combine_.assign(kShardCount << kShardCombineBits,
-                              CombineSlot{});
-      }
-      return;
-    }
-    if (sparse_) {
-      // Un-sharded sparse rows from a cache-dropped phase: keep the
-      // format, stand the probe cache back up.
-      if (combine_.empty()) combine_.resize(kCombineSlots);
-      return;
-    }
-    AccumEngine eng = want != AccumEngine::kAuto ? want : accum_engine();
-    if (eng == AccumEngine::kAuto) eng = AccumEngine::kSharded;
-    // Sparse records exist only in u16 mode, and only a fresh sink can
-    // adopt the format (rows already emitted dense stay dense for the
-    // phase — absorb handles the mix). kSparse pins the format from
-    // the first row; kAuto arms the mid-phase dense-to-sparse flip on
-    // the sharded engine instead, so small phases never pay the record
-    // decode.
-    const EmitFormat fmt = emit_format();
-    const bool sparse =
-        fmt == EmitFormat::kSparse && mode_ == Mode::kU16 && empty();
-    if (eng == AccumEngine::kSharded && mode_ == Mode::kU16 && empty() &&
-        domain > 0 && domain < kPacked28NoVertex) {
-      engine_ = AccumEngine::kSharded;
-      sharded_ = true;
-      // Cut the top kShardBits of the domain's occupied bit range, so
-      // the shards split any domain evenly and the shard index is
-      // monotone in v1 (shard concatenation = ascending-v1 blocks).
-      shard_shift_ = std::max(
-          0, static_cast<int>(std::bit_width(
-                 static_cast<std::uint32_t>(domain - 1))) -
-                 kShardBits);
-      if (sparse) {
-        sparse_ = true;
-        shard_sp16_.resize(kShardCount);
-        shard_sp_rows_.assign(kShardCount, 0);
-      } else {
-        shard16_.resize(kShardCount);
-        if (fmt == EmitFormat::kAuto) sparse_flip_at_ = sparse_flip_rows();
-      }
-      shard_combine_.assign(kShardCount << kShardCombineBits,
-                            CombineSlot{});
-      return;
-    }
-    engine_ = AccumEngine::kProbe;
-    sparse_ = sparse;
+  /// so the per-row appends only test for it; a stray direct append
+  /// still self-prepares through an [[unlikely]] guard. Idempotent until
+  /// the seal drops the cache.
+  void prepare_emit() {
     if (combine_.empty()) combine_.resize(kCombineSlots);
   }
 
-  /// Engine this sink was prepared with (kProbe until prepared).
-  AccumEngine engine() const { return engine_; }
-
-  /// True while emissions are landing in v1-cut shards (u16 only; any
-  /// escalation or wide absorb flattens and clears this).
-  bool sharded() const { return sharded_; }
-
-  /// True while emissions are landing as variable-length sparse records
-  /// (u16 only; any escalation or mixed absorb decodes and clears this).
-  /// The extend loop keys its frontier-side dedup on this.
-  bool sparse() const { return sparse_; }
-
-  /// Credit same-key folds the producer performed before emitting
-  /// (frontier-side dedup in the extend loop).
-  void note_frontier_folds(std::uint64_t n) { frontier_folds_ += n; }
-
-  /// A run handle for the run-bulk emission path: one shard's storage
-  /// (fixed-stride row vector, or the sparse record buffer plus its row
-  /// counter) and its combining-cache slice, resolved once for a whole
-  /// same-v1 emission run (the extend loop's per-neighbor burst) so the
-  /// per-row cost is one L1-resident probe and a push — no mode test,
-  /// no shard select, no prepare guard. Invalid when the sink is not
-  /// sharded; any generic append that escalates the sink invalidates
-  /// outstanding handles, so callers re-acquire after one.
-  struct RunU16 {
-    std::vector<Row16>* rows = nullptr;
-    std::vector<std::uint8_t>* buf = nullptr;
-    CombineSlot* slots = nullptr;
-    std::uint32_t* sp_rows = nullptr;
-    bool valid() const { return rows != nullptr || buf != nullptr; }
-  };
-
-  /// Begin a same-v1 run of up to `hint` emissions. Reserves once for
-  /// the whole run, keeping geometric growth (never a creeping
-  /// exact-fit reserve that would degrade pushes to O(n^2) copying).
-  RunU16 run_u16(VertexId v1, std::size_t hint) {
-    if (!prepared_) [[unlikely]] prepare_emit(AccumEngine::kAuto, 0);
-    if (!sharded_) return {};
-    if (!sparse_ && shard_rows_ >= sparse_flip_at_) [[unlikely]] {
-      flip_shards_to_sparse();
-    }
-    const std::size_t s =
-        std::min<std::size_t>(std::size_t{v1} >> shard_shift_,
-                              kShardCount - 1);
-    CombineSlot* slots = shard_combine_.data() + (s << kShardCombineBits);
-    if (sparse_) {
-      auto& buf = shard_sp16_[s];
-      const std::size_t want = hint * kSparseRowGuess;
-      if (buf.capacity() - buf.size() < want) {
-        buf.reserve(std::max(buf.size() + want, 2 * buf.capacity()));
-      }
-      return {nullptr, &buf, slots, &shard_sp_rows_[s]};
-    }
-    auto& rows = shard16_[s];
-    if (rows.capacity() - rows.size() < hint) {
-      rows.reserve(std::max(rows.size() + hint, 2 * rows.capacity()));
-    }
-    return {&rows, nullptr, slots, nullptr};
-  }
-
-  /// Emit one masked u16 row through a valid run handle. All emissions
-  /// of the run must share the v1 the handle was acquired for.
-  void run_append_u16(const RunU16& run, std::uint64_t k, const Row16& src,
-                      LaneMask m) {
-    ++run_emits_;
-    if (run.buf != nullptr) {
-      if (sparse_fold_or_push(*run.buf, run.slots[shard_combine_hash(k)], k,
-                              src, m)) {
-        ++*run.sp_rows;
-        ++shard_rows_;
-      }
-      return;
-    }
-    fold_or_push(*run.rows, run.slots[shard_combine_hash(k)], k, src, m);
-  }
-
-  /// Prefetch the combining-cache slot `k` will probe. The probe-engine
-  /// extend loop queues a small tile of emissions and prefetches each
-  /// slot at enqueue time, so the dependent slot load in
-  /// append_masked_u16 is in flight a tile ahead of its use.
+  /// Prefetch the combining-cache slot `k` will probe. The extend loop
+  /// queues a small tile of emissions and prefetches each slot at
+  /// enqueue time, so the dependent slot load in append_masked_u16 is
+  /// in flight a tile ahead of its use.
   void prefetch_combine(std::uint64_t k) const {
     if (!combine_.empty()) {
       __builtin_prefetch(&combine_[combine_hash(k)], 1, 1);
     }
   }
 
-  /// Flatten mid-accumulation sharded and/or sparse storage in place
-  /// (storage order, no sort, rows stay unsealed) so the indexed row
-  /// accessors work — the per-row join primitives consume some tables
-  /// without ever sealing them (variable-stride sparse records carry no
-  /// row index at all until decoded). Drops the emission caches; the
-  /// next append re-prepares the sink. No-op on plain flat storage.
-  void ensure_flat() {
-    if (!sparse_ && !sharded_) return;
-    unsparse();
-    flatten_shards();
-    prepared_ = false;
-  }
-
-  /// Fold this sink's accumulation counters (and shard occupancy) into
-  /// `t` — once per phase, after the per-thread reduction and before
-  /// the seal flattens the shards.
+  /// Fold this sink's accumulation counters into `t` — once per phase,
+  /// after the per-thread reduction and before the seal.
   void collect_telemetry(AccumTelemetry& t) const {
     ++t.phases;
     t.rows += size();
     t.emit_bytes += byte_size();
     t.combine_folds += combine_folds_;
-    t.frontier_folds += frontier_folds_;
-    t.run_emits += run_emits_;
-    if (sparse_) ++t.sparse_phases;
-    if (sharded_) {
-      ++t.sharded_phases;
-      t.shard_slots += kShardCount;
-      if (sparse_) {
-        for (const auto& buf : shard_sp16_) {
-          t.shards_occupied += static_cast<std::uint64_t>(!buf.empty());
-        }
-      } else {
-        for (const auto& shard : shard16_) {
-          t.shards_occupied += static_cast<std::uint64_t>(!shard.empty());
-        }
-      }
-    }
-  }
-
-  /// Visit every row as a dense entry, in storage order. Works in every
-  /// representation including mid-accumulation sharded or sparse
-  /// storage, where the indexed accessors below are unavailable (an
-  /// unsealed root table's lane totals read through this).
-  template <typename F>
-  void for_each_dense(F&& f) const {
-    Entry tmp;
-    if (sparse_) {
-      auto visit = [&](const std::vector<std::uint8_t>& buf) {
-        sparse_scan(buf, [&](std::uint64_t k, const Row16& r) {
-          tmp.key = unpack_key(k);
-          tmp.cnt = expand_counts(r);
-          f(tmp);
-        });
-      };
-      if (sharded_) {
-        for (const auto& buf : shard_sp16_) visit(buf);
-      } else {
-        visit(sp16_);
-      }
-      return;
-    }
-    if (sharded_) {
-      for (const auto& shard : shard16_) {
-        for (const Row16& r : shard) {
-          tmp.key = unpack_key(r.k);
-          tmp.cnt = expand_counts(r);
-          f(tmp);
-        }
-      }
-      return;
-    }
-    const std::size_t n = size();
-    for (std::size_t i = 0; i < n; ++i) {
-      row(i, tmp);
-      f(tmp);
-    }
-  }
-
-  /// Largest value of the packed key's `slot` field over all rows,
-  /// unpacked (the all-ones field reads back as kNoVertex) — domain
-  /// detection; shard-aware, unlike key_at.
-  VertexId max_slot_value(int slot) const {
-    VertexId mx = 0;
-    auto fold = [&](std::uint64_t k) {
-      const std::uint32_t b = slot_bits(k, slot);
-      mx = std::max(mx, b == kPacked28NoVertex ? kNoVertex : b);
-    };
-    if (sparse_) {
-      auto visit = [&](const std::vector<std::uint8_t>& buf) {
-        sparse_scan_keys(buf, fold);
-      };
-      if (sharded_) {
-        for (const auto& buf : shard_sp16_) visit(buf);
-      } else {
-        visit(sp16_);
-      }
-      return mx;
-    }
-    if (sharded_) {
-      for (const auto& shard : shard16_) {
-        for (const Row16& r : shard) fold(r.k);
-      }
-      return mx;
-    }
-    switch (mode_) {
-      case Mode::kU16:
-        for (const Row16& r : n16_) fold(r.k);
-        return mx;
-      case Mode::kU32:
-        for (const auto& r : n32_) fold(r.k);
-        return mx;
-      case Mode::kWide: break;
-    }
-    for (const Entry& e : wide_) mx = std::max(mx, e.key.v[slot]);
-    return mx;
   }
 
   TableKey key_at(std::size_t i) const {
@@ -883,62 +386,19 @@ class FlatRowsT {
     out = wide_[i];
   }
 
-  /// Merge another sink's rows (the per-thread reduction): same-cut
-  /// sharded sinks concatenate shard-wise (keeping the sharded seal);
-  /// everything else is raised to the wider flat representation, then
-  /// concatenated. Accumulation counters always carry over.
+  /// Merge another sink's rows (the per-thread reduction): both sides
+  /// are raised to the wider representation, then concatenated. The
+  /// fold counter carries over.
   void absorb(FlatRowsT&& o) {
     combine_folds_ += o.combine_folds_;
-    run_emits_ += o.run_emits_;
-    frontier_folds_ += o.frontier_folds_;
     o.combine_folds_ = 0;
-    o.run_emits_ = 0;
-    o.frontier_folds_ = 0;
     if (o.empty()) return;
     if (empty()) {
       const std::uint64_t folds = combine_folds_;
-      const std::uint64_t runs = run_emits_;
-      const std::uint64_t front = frontier_folds_;
       *this = std::move(o);
       combine_folds_ = folds;
-      run_emits_ = runs;
-      frontier_folds_ = front;
       return;
     }
-    if (sparse_ && o.sparse_ && sharded_ == o.sharded_ &&
-        (!sharded_ || shard_shift_ == o.shard_shift_)) {
-      // Same-format sparse sinks concatenate byte-wise (per shard when
-      // sharded); this sink's cache offsets stay valid because the
-      // other's records land strictly after them.
-      if (sharded_) {
-        for (std::size_t s = 0; s < kShardCount; ++s) {
-          auto& dst = shard_sp16_[s];
-          auto& src = o.shard_sp16_[s];
-          dst.insert(dst.end(), src.begin(), src.end());
-          shard_sp_rows_[s] += o.shard_sp_rows_[s];
-        }
-        shard_rows_ += o.shard_rows_;
-      } else {
-        sp16_.insert(sp16_.end(), o.sp16_.begin(), o.sp16_.end());
-        sp_rows_ += o.sp_rows_;
-      }
-      o.clear();
-      return;
-    }
-    if (sparse_) unsparse();
-    if (o.sparse_) o.unsparse();
-    if (sharded_ && o.sharded_ && shard_shift_ == o.shard_shift_) {
-      for (std::size_t s = 0; s < kShardCount; ++s) {
-        auto& dst = shard16_[s];
-        auto& src = o.shard16_[s];
-        dst.insert(dst.end(), src.begin(), src.end());
-      }
-      shard_rows_ += o.shard_rows_;
-      o.clear();
-      return;
-    }
-    if (sharded_) unshard();
-    if (o.sharded_) o.unshard();
     const Mode m = std::max(mode_, o.mode_);
     raise_to(m);
     o.raise_to(m);
@@ -969,32 +429,43 @@ class FlatRowsT {
 
   /// Sort the narrow rows into the dense seal's order for `slot` (the
   /// packed key's grouping field first, then the raw packed key — the
-  /// same row order the dense seal's comparators produce). Two engines:
-  /// an LSD radix sort over the slot-permuted packed key (the default
-  /// once the row count clears its setup cost) and the original stable
-  /// counting partition + per-bucket comparison sort; see
-  /// set_seal_sort_algo. Returns false (rows untouched) when a slot
-  /// value falls outside [0, domain) — including kNoVertex, whose packed
-  /// pattern is the all-ones field — or when the rows are wide; the
-  /// caller falls back to the dense path. A sharded sink always leaves
-  /// this flattened: the slot-1 seal sorts shard by shard (the shard
-  /// blocks are already ascending-v1, so concatenating the per-shard
-  /// sorts IS the global order and the radix passes above shard_shift_
-  /// never run); any other slot flattens first and sorts globally.
+  /// same row order the dense seal's comparators produce). From
+  /// kRadixMinRows rows up this is the LSD radix sort, below it the
+  /// counting partition + per-bucket comparison sort. Returns false
+  /// (rows untouched) when a slot value falls outside [0, domain) —
+  /// including kNoVertex, whose packed pattern is the all-ones field —
+  /// or when the rows are wide; the caller falls back to the dense path.
   bool sort_by_slot(int slot, VertexId domain) {
+    return size() >= kRadixMinRows ? sort_by_slot_radix(slot, domain)
+                                   : sort_by_slot_comparison(slot, domain);
+  }
+
+  /// sort_by_slot pinned to the LSD radix sort (tests compare the two).
+  bool sort_by_slot_radix(int slot, VertexId domain) {
     drop_combine();
-    if (sparse_) return sort_sparse_by_slot(slot, domain);
-    if (sharded_) {
-      if (slot == 1) return sort_sharded_by_v1(domain);
-      flatten_shards();
-    }
     switch (mode_) {
-      case Mode::kU16: return sort_dispatch(n16_, slot, domain);
-      case Mode::kU32: return sort_dispatch(n32_, slot, domain);
+      case Mode::kU16: return sort_radix_impl(n16_, slot, domain);
+      case Mode::kU32: return sort_radix_impl(n32_, slot, domain);
       case Mode::kWide: break;
     }
     return false;
   }
+
+  /// sort_by_slot pinned to the comparison sort (tests compare the two).
+  bool sort_by_slot_comparison(int slot, VertexId domain) {
+    drop_combine();
+    switch (mode_) {
+      case Mode::kU16: return sort_comparison_impl(n16_, slot, domain);
+      case Mode::kU32: return sort_comparison_impl(n32_, slot, domain);
+      case Mode::kWide: break;
+    }
+    return false;
+  }
+
+  /// Row count from which sort_by_slot takes the radix sort: below it
+  /// the per-bucket comparison sort has no per-pass setup and its
+  /// buckets fit in cache.
+  static constexpr std::size_t kRadixMinRows = 4096;
 
   /// Reorder rows [lo, hi) by DESCENDING rank of the packed key's slot-0
   /// vertex (ranks indexed by vertex id, injective), breaking the full-key
@@ -1062,36 +533,16 @@ class FlatRowsT {
     n32_.shrink_to_fit();
     wide_.clear();
     wide_.shrink_to_fit();
-    shard16_.clear();
-    shard16_.shrink_to_fit();
-    sp16_.clear();
-    sp16_.shrink_to_fit();
-    shard_sp16_.clear();
-    shard_sp16_.shrink_to_fit();
-    shard_sp_rows_.clear();
-    shard_sp_rows_.shrink_to_fit();
-    sp_rows_ = 0;
-    sparse_ = false;
-    sparse_flip_at_ = kNoSparseFlip;
-    shard_rows_ = 0;
-    sharded_ = false;
-    shard_shift_ = 0;
     drop_combine();
-    engine_ = AccumEngine::kProbe;
     combine_folds_ = 0;
-    run_emits_ = 0;
-    frontier_folds_ = 0;
     mode_ = Mode::kU16;
   }
 
-  /// Release the combining caches (sealed tables must not carry them).
-  /// Also un-prepares the sink: the next phase re-binds an engine.
+  /// Release the combining cache (sealed tables must not carry it); the
+  /// next phase's first append stands it back up.
   void drop_combine() {
     combine_.clear();
     combine_.shrink_to_fit();
-    shard_combine_.clear();
-    shard_combine_.shrink_to_fit();
-    prepared_ = false;
   }
 
  private:
@@ -1104,649 +555,6 @@ class FlatRowsT {
 
   static std::size_t combine_hash(std::uint64_t k) {
     return (k * 0x9E3779B97F4A7C15ull) >> (64 - kCombineBits);
-  }
-
-  // Sharded engine: 64 shards cut over the packed v1 field, each with
-  // its own 512-slot combining-cache slice (6 KiB — L1-resident for
-  // the duration of a same-v1 burst; 64 x 6 KiB = the same 384 KiB
-  // footprint as the global cache, but only one slice is hot at a
-  // time). v1 is the cut because the extend loop emits per-neighbor
-  // bursts that share v1 exactly, and slot-1 is the most common first
-  // seal order.
-  static constexpr int kShardBits = 6;
-  static constexpr std::size_t kShardCount = std::size_t{1} << kShardBits;
-  static constexpr int kShardCombineBits = 9;
-
-  static std::size_t shard_combine_hash(std::uint64_t k) {
-    return (k * 0x9E3779B97F4A7C15ull) >> (64 - kShardCombineBits);
-  }
-
-  std::size_t shard_of(std::uint64_t k) const {
-    const std::uint32_t v1 =
-        static_cast<std::uint32_t>(k >> 8) & kPacked28NoVertex;
-    // Out-of-domain v1 (kNoVertex's all-ones field) clamps to the last
-    // shard; the seal's validation rejects it there, exactly as the
-    // global sort would.
-    return std::min<std::size_t>(std::size_t{v1} >> shard_shift_,
-                                 kShardCount - 1);
-  }
-
-  CombineSlot& shard_slot(std::size_t s, std::uint64_t k) {
-    return shard_combine_[(s << kShardCombineBits) | shard_combine_hash(k)];
-  }
-
-  /// Shard-side fold-or-push of a masked u16 source row: sum into the
-  /// slot-hinted row while it stays u16, else push a duplicate (merged
-  /// at seal) and move the hint.
-  void fold_or_push(std::vector<Row16>& rows, CombineSlot& slot,
-                    std::uint64_t k, const Row16& src, LaneMask m) {
-    if (slot.k == k && slot.idx < rows.size() && rows[slot.idx].k == k) {
-      std::array<std::uint32_t, B> sum;
-      std::uint32_t hi = 0;
-      CCBT_SIMD
-      for (int l = 0; l < B; ++l) {
-        sum[l] = static_cast<std::uint32_t>(rows[slot.idx].c[l]) +
-                 (((m >> l) & 1) != 0 ? src.c[l] : std::uint16_t{0});
-        hi |= sum[l];
-      }
-      if (hi <= 0xFFFFu) {
-        CCBT_SIMD
-        for (int l = 0; l < B; ++l) {
-          rows[slot.idx].c[l] = static_cast<std::uint16_t>(sum[l]);
-        }
-        ++combine_folds_;
-        return;
-      }
-    }
-    slot.k = k;
-    slot.idx = static_cast<std::uint32_t>(rows.size());
-    Row16 r;
-    r.k = k;
-    CCBT_SIMD
-    for (int l = 0; l < B; ++l) {
-      r.c[l] = ((m >> l) & 1) != 0 ? src.c[l] : std::uint16_t{0};
-    }
-    rows.push_back(r);
-    ++shard_rows_;
-  }
-
-  /// Shard-side emission of a masked dense vector already known to fit
-  /// u16 (the generic appends' sharded branch).
-  void shard_emit_vec(std::uint64_t k, const Vec& src, LaneMask m) {
-    const std::size_t s = shard_of(k);
-    auto& rows = shard16_[s];
-    CombineSlot& slot = shard_slot(s, k);
-    if (slot.k == k && slot.idx < rows.size() && rows[slot.idx].k == k &&
-        combine_masked(rows[slot.idx], src, m, std::uint64_t{0xFFFF})) {
-      ++combine_folds_;
-      return;
-    }
-    slot.k = k;
-    slot.idx = static_cast<std::uint32_t>(rows.size());
-    push_masked(rows, k, src, m);
-    ++shard_rows_;
-  }
-
-  // ------------------------------------------- sparse emission records
-  //
-  // A sparse record is [u64 key][u8 occupancy][u16 per occupied lane],
-  // 9 + 2*popcount(occ) bytes — ~11-12 at the Fig 15 workload's ~0.15
-  // lane density vs the 8 + 2B fixed-stride row. Zero-valued lanes are
-  // simply not stored (they contribute nothing to a seal-time run sum),
-  // and an all-zero emission keeps its 9-byte key record so the set of
-  // sealed keys matches the dense format exactly. Records exist only in
-  // u16 mode; combining-cache slots hold byte offsets instead of row
-  // indices while the format is active.
-
-  static_assert(B <= 8, "sparse occupancy is a single byte");
-
-  // Pre-reserve / size-hint guess, bytes per record.
-  static constexpr std::size_t kSparseRowGuess = 12;
-
-  static std::uint64_t load_u64(const std::uint8_t* p) {
-    std::uint64_t v;
-    std::memcpy(&v, p, sizeof(v));
-    return v;
-  }
-  static std::uint16_t load_u16(const std::uint8_t* p) {
-    std::uint16_t v;
-    std::memcpy(&v, p, sizeof(v));
-    return v;
-  }
-  static void store_u64(std::uint8_t* p, std::uint64_t v) {
-    std::memcpy(p, &v, sizeof(v));
-  }
-  static void store_u16(std::uint8_t* p, std::uint16_t v) {
-    std::memcpy(p, &v, sizeof(v));
-  }
-
-  /// Visit every record of a sparse buffer as (key, decoded u16 row).
-  template <typename F>
-  static void sparse_scan(const std::vector<std::uint8_t>& buf, F&& f) {
-    const std::uint8_t* p = buf.data();
-    const std::uint8_t* const end = p + buf.size();
-    Row16 r;
-    while (p < end) {
-      r.k = load_u64(p);
-      const std::uint32_t occ = p[8];
-      p += 9;
-      r.c.fill(0);
-      for (std::uint32_t b = occ; b != 0; b &= b - 1) {
-        r.c[std::countr_zero(b)] = load_u16(p);
-        p += 2;
-      }
-      f(r.k, r);
-    }
-  }
-
-  /// Visit every record's key only (domain scans skip the counts).
-  template <typename F>
-  static void sparse_scan_keys(const std::vector<std::uint8_t>& buf,
-                               F&& f) {
-    const std::uint8_t* p = buf.data();
-    const std::uint8_t* const end = p + buf.size();
-    while (p < end) {
-      f(load_u64(p));
-      p += 9 + 2 * std::popcount(std::uint32_t{p[8]});
-    }
-  }
-
-  /// Decode the record at byte offset `off` into a fixed-stride row.
-  static void sparse_decode_at(const std::uint8_t* base, std::uint32_t off,
-                               Row16& r) {
-    const std::uint8_t* p = base + off;
-    r.k = load_u64(p);
-    const std::uint32_t occ = p[8];
-    p += 9;
-    r.c.fill(0);
-    for (std::uint32_t b = occ; b != 0; b &= b - 1) {
-      r.c[std::countr_zero(b)] = load_u16(p);
-      p += 2;
-    }
-  }
-
-  /// Append a new sparse record for the masked lanes of `src` and point
-  /// the cache slot at it (invalidating the hint if the offset outgrows
-  /// the slot's 32 bits — a missed fold, never a wrong one).
-  /// Occupancy of the masked row: bit l set when lane l is live and
-  /// nonzero — the byte every sparse record stores. Kept as a plain
-  /// reduction the vectorizer handles; this runs once per emission on
-  /// the sparse hot path.
-  static std::uint32_t sparse_occ(const Row16& src, LaneMask m) {
-    std::uint32_t occ = 0;
-    for (int l = 0; l < B; ++l) {
-      occ |= static_cast<std::uint32_t>(src.c[l] != 0) << l;
-    }
-    return occ & m;
-  }
-
-  void sparse_push(std::vector<std::uint8_t>& buf, CombineSlot& slot,
-                   std::uint64_t k, const Row16& src, LaneMask m) {
-    const std::uint32_t occ = sparse_occ(src, m);
-    const std::size_t at = buf.size();
-    buf.resize(at + 9 + 2 * std::popcount(occ));
-    std::uint8_t* p = buf.data() + at;
-    store_u64(p, k);
-    p[8] = static_cast<std::uint8_t>(occ);
-    p += 9;
-    for (std::uint32_t b = occ; b != 0; b &= b - 1) {
-      store_u16(p, src.c[std::countr_zero(b)]);
-      p += 2;
-    }
-    if (at <= std::numeric_limits<std::uint32_t>::max()) [[likely]] {
-      slot.k = k;
-      slot.idx = static_cast<std::uint32_t>(at);
-    } else {
-      slot.k = ~std::uint64_t{0};
-    }
-  }
-
-  /// Sparse fold-or-push: sum the masked lanes into the slot-hinted
-  /// record when its occupancy covers them and every sum stays u16;
-  /// otherwise push a duplicate record (merged at seal). Returns true
-  /// when a new record was pushed (callers keep the row counters).
-  bool sparse_fold_or_push(std::vector<std::uint8_t>& buf,
-                           CombineSlot& slot, std::uint64_t k,
-                           const Row16& src, LaneMask m) {
-    if (slot.k == k && std::size_t{slot.idx} + 9 <= buf.size() &&
-        load_u64(buf.data() + slot.idx) == k) {
-      std::uint8_t* const rec = buf.data() + slot.idx;
-      const std::uint32_t occ = rec[8];
-      const std::uint32_t want = sparse_occ(src, m);
-      if ((want & ~occ) == 0) {
-        // All-or-nothing: compute every merged lane before writing any.
-        std::uint8_t* const counts = rec + 9;
-        std::array<std::uint32_t, 8> sum;
-        std::array<std::uint8_t, 8> pos;
-        int nl = 0;
-        std::uint32_t hi = 0;
-        for (std::uint32_t b = want; b != 0; b &= b - 1) {
-          const int l = std::countr_zero(b);
-          const int pi = std::popcount(occ & ((1u << l) - 1));
-          const std::uint32_t s =
-              load_u16(counts + 2 * pi) + std::uint32_t{src.c[l]};
-          sum[nl] = s;
-          pos[nl] = static_cast<std::uint8_t>(pi);
-          ++nl;
-          hi |= s;
-        }
-        if (hi <= 0xFFFFu) {
-          for (int i = 0; i < nl; ++i) {
-            store_u16(counts + 2 * pos[i],
-                      static_cast<std::uint16_t>(sum[i]));
-          }
-          ++combine_folds_;
-          return false;
-        }
-      }
-    }
-    sparse_push(buf, slot, k, src, m);
-    return true;
-  }
-
-  /// Sparse emission of a masked dense vector already known to fit u16
-  /// (the generic appends' sparse branch).
-  void sparse_emit_vec(std::uint64_t k, const Vec& src, LaneMask m) {
-    Row16 r;
-    r.k = k;
-    CCBT_SIMD
-    for (int l = 0; l < B; ++l) {
-      r.c[l] = static_cast<std::uint16_t>(
-          ((m >> l) & 1) != 0 ? LaneOps<B>::lane(src, l) : Count{0});
-    }
-    if (sharded_) {
-      const std::size_t s = shard_of(k);
-      if (sparse_fold_or_push(shard_sp16_[s], shard_slot(s, k), k, r,
-                              ~LaneMask{0})) {
-        ++shard_sp_rows_[s];
-        ++shard_rows_;
-      }
-      return;
-    }
-    if (sparse_fold_or_push(sp16_, combine_[combine_hash(k)], k, r,
-                            ~LaneMask{0})) {
-      ++sp_rows_;
-    }
-  }
-
-  /// Decode sparse records into fixed-stride u16 storage in place
-  /// (storage order, rows stay unsealed) and leave the sparse format.
-  /// Shard structure is preserved: a sparse shard decodes into its
-  /// dense shard, so escalation and mixed absorbs continue on exactly
-  /// the paths the dense format uses. Cache slots held byte offsets, so
-  /// they are cleared (a stale hint is checked before any fold, but a
-  /// cold restart is cheaper to reason about).
-  /// Mid-phase kAuto flip: the phase has outgrown the regime where
-  /// fixed-stride rows are cheaper, so re-encode the dense shard rows
-  /// as sparse records — per shard, in row order, which keeps the
-  /// decoded row sequence (and therefore the sealed table) bit-identical
-  /// to an all-dense run — and emit sparse records from here on.
-  void flip_shards_to_sparse() {
-    sparse_flip_at_ = kNoSparseFlip;
-    shard_sp16_.resize(kShardCount);
-    shard_sp_rows_.assign(kShardCount, 0);
-    // Dense combine slots hold row indices, sparse ones byte offsets:
-    // reset rather than translate — sparse_push below re-seeds the slot
-    // of every re-encoded row, so the cache stays warm across the flip.
-    if (shard_combine_.empty()) {
-      shard_combine_.assign(kShardCount << kShardCombineBits,
-                            CombineSlot{});
-    } else {
-      std::fill(shard_combine_.begin(), shard_combine_.end(),
-                CombineSlot{});
-    }
-    for (std::size_t s = 0; s < kShardCount; ++s) {
-      auto& rows = shard16_[s];
-      auto& buf = shard_sp16_[s];
-      buf.reserve(rows.size() * kSparseRowGuess);
-      for (const Row16& r : rows) {
-        sparse_push(buf, shard_slot(s, r.k), r.k, r, ~LaneMask{0});
-      }
-      shard_sp_rows_[s] = static_cast<std::uint32_t>(rows.size());
-      rows.clear();
-      rows.shrink_to_fit();
-    }
-    shard16_.clear();
-    shard16_.shrink_to_fit();
-    sparse_ = true;
-  }
-
-  void unsparse() {
-    if (!sparse_) return;
-    sparse_flip_at_ = kNoSparseFlip;
-    if (sharded_) {
-      shard16_.resize(kShardCount);
-      for (std::size_t s = 0; s < kShardCount; ++s) {
-        auto& rows = shard16_[s];
-        rows.reserve(rows.size() + shard_sp_rows_[s]);
-        sparse_scan(shard_sp16_[s], [&](std::uint64_t, const Row16& r) {
-          rows.push_back(r);
-        });
-        shard_sp16_[s].clear();
-        shard_sp16_[s].shrink_to_fit();
-      }
-      shard_sp16_.clear();
-      shard_sp16_.shrink_to_fit();
-      shard_sp_rows_.clear();
-      shard_sp_rows_.shrink_to_fit();
-      if (!shard_combine_.empty()) {
-        std::fill(shard_combine_.begin(), shard_combine_.end(),
-                  CombineSlot{});
-      }
-    } else {
-      n16_.reserve(n16_.size() + sp_rows_);
-      sparse_scan(sp16_, [&](std::uint64_t, const Row16& r) {
-        n16_.push_back(r);
-      });
-      sp16_.clear();
-      sp16_.shrink_to_fit();
-      sp_rows_ = 0;
-      if (!combine_.empty()) {
-        std::fill(combine_.begin(), combine_.end(), CombineSlot{});
-      }
-    }
-    sparse_ = false;
-  }
-
-  // --------------------------------------------------- sparse sealing
-
-  /// (sort key, record byte offset) pair — the seal's key-index
-  /// indirection extended to variable stride: the radix passes move
-  /// these 16-byte pairs, and each record is decoded exactly once, into
-  /// its final sorted position.
-  struct KeyOff {
-    std::uint64_t sk;
-    std::uint32_t off;
-  };
-
-  static void sort_keyoff(std::vector<KeyOff>& keys,
-                          std::vector<KeyOff>& buf, std::uint64_t varying,
-                          std::size_t comparison_below) {
-    if (keys.size() < comparison_below) {
-      std::sort(keys.begin(), keys.end(),
-                [](const KeyOff& a, const KeyOff& b) { return a.sk < b.sk; });
-      return;
-    }
-    for (int shift = 0; shift < 64; shift += kRadixBits) {
-      if (((varying >> shift) & (kRadixBuckets - 1)) == 0) continue;
-      radix_pass(keys, buf, [shift](const KeyOff& p) {
-        return static_cast<std::uint32_t>(p.sk >> shift) &
-               (kRadixBuckets - 1);
-      });
-    }
-  }
-
-  /// The sparse seal. The winning shape is the per-shard one: each
-  /// shard sorts (sort key, offset) pairs and gather-decodes every
-  /// record once into its segment of the flattened buffer, the gather
-  /// staying inside one shard's cache-resident record buffer. A
-  /// table-wide pair sort loses that locality — its gather strides the
-  /// whole record buffer — and measures slower than decoding up front
-  /// and running the dense radix seal, so everything that can't take
-  /// the per-shard path (small tables, non-v1 slots, the probe engine)
-  /// decodes in place and reuses the dense sort dispatch. The global
-  /// pair sort is kept for the one case the decode is the problem: a
-  /// record buffer too large to want a second flat copy. Either way
-  /// the sealed rows are exactly the rows the dense format would have
-  /// produced; validation failure leaves the table decoded, in storage
-  /// order, for the caller's dense fallback.
-  bool sort_sparse_by_slot(int slot, VertexId domain) {
-    // Offsets ride in 32 bits through the passes; a >4 GiB record
-    // buffer decodes first and sorts dense.
-    constexpr std::size_t kMaxOff = std::numeric_limits<std::uint32_t>::max();
-    bool overflow = sp16_.size() > kMaxOff;
-    for (const auto& b : shard_sp16_) overflow = overflow || b.size() > kMaxOff;
-    // Sharded tables above the cutover (8× below the dense seal's,
-    // matching the per-shard comparison-sort threshold) keep the
-    // per-shard variable-stride seal, in parallel.
-    if (!overflow && sharded_ && slot == 1 &&
-        shard_rows_ >= kShardCount * 4 * (kRadixMinRows / 8)) {
-      return sort_sparse_sharded_v1(domain);
-    }
-    // Memory-constrained middle ground: a non-sharded record buffer too
-    // big to casually double (but with offsets still in range) pays the
-    // strided gather to avoid the flat copy.
-    if (!overflow && !sharded_ &&
-        sp16_.size() > (std::size_t{1} << 28)) {
-      return sort_sparse_global(slot, domain);
-    }
-    unsparse();
-    if (sharded_) {
-      if (slot == 1) return sort_sharded_by_v1(domain);
-      flatten_shards();
-    }
-    return sort_dispatch(n16_, slot, domain);
-  }
-
-  /// Concatenate sparse shard buffers into the global record buffer in
-  /// shard order (ascending-v1 blocks) and leave sharded mode.
-  void concat_sparse_shards() {
-    std::size_t total = 0;
-    for (const auto& b : shard_sp16_) total += b.size();
-    sp16_.reserve(sp16_.size() + total);
-    for (auto& b : shard_sp16_) {
-      sp16_.insert(sp16_.end(), b.begin(), b.end());
-      b.clear();
-      b.shrink_to_fit();
-    }
-    shard_sp16_.clear();
-    shard_sp16_.shrink_to_fit();
-    shard_sp_rows_.clear();
-    shard_sp_rows_.shrink_to_fit();
-    shard_combine_.clear();
-    shard_combine_.shrink_to_fit();
-    sp_rows_ += shard_rows_;
-    shard_rows_ = 0;
-    sharded_ = false;
-  }
-
-  bool sort_sparse_global(int slot, VertexId domain) {
-    const std::size_t n = sp_rows_;
-    thread_local std::vector<KeyOff> keys, keys_buf;
-    if (keys.capacity() > 2 * n + 1024) {
-      keys.clear();
-      keys.shrink_to_fit();
-      keys_buf.clear();
-      keys_buf.shrink_to_fit();
-    }
-    keys.clear();
-    keys.reserve(n);
-    std::uint64_t ormask = 0;
-    std::uint64_t andmask = ~std::uint64_t{0};
-    bool sorted = true;
-    std::uint64_t prev = 0;
-    bool ok = true;
-    const std::uint8_t* const base = sp16_.data();
-    const std::uint8_t* p = base;
-    const std::uint8_t* const end = base + sp16_.size();
-    while (p < end) {
-      const std::uint64_t k = load_u64(p);
-      if (slot_bits(k, slot) >= domain) {
-        ok = false;
-        break;
-      }
-      const std::uint64_t sk = sort_key(k, slot);
-      keys.push_back({sk, static_cast<std::uint32_t>(p - base)});
-      ormask |= sk;
-      andmask &= sk;
-      sorted = sorted && sk >= prev;
-      prev = sk;
-      p += 9 + 2 * std::popcount(std::uint32_t{p[8]});
-    }
-    if (!ok) {
-      unsparse();  // decoded, storage order — the dense fallback's input
-      return false;
-    }
-    if (!sorted) {
-      sort_keyoff(keys, keys_buf, ormask ^ andmask, kRadixMinRows);
-    }
-    n16_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      sparse_decode_at(base, keys[i].off, n16_[i]);
-    }
-    sp16_.clear();
-    sp16_.shrink_to_fit();
-    sp_rows_ = 0;
-    sparse_ = false;
-    keys.clear();
-    keys_buf.clear();
-    return true;
-  }
-
-  /// Per-shard variant of sort_sparse_global: sort one shard's pairs
-  /// and decode into its segment of the flattened buffer. On a failed
-  /// validation the shard still decodes (storage order) so the whole
-  /// table ends up flat for the caller's dense fallback.
-  static bool sort_sparse_shard_v1(const std::vector<std::uint8_t>& buf,
-                                   std::uint32_t nrows, VertexId domain,
-                                   Row16* out) {
-    thread_local std::vector<KeyOff> keys, keys_buf;
-    keys.clear();
-    keys.reserve(nrows);
-    std::uint64_t ormask = 0;
-    std::uint64_t andmask = ~std::uint64_t{0};
-    bool sorted = true;
-    std::uint64_t prev = 0;
-    bool ok = true;
-    const std::uint8_t* const base = buf.data();
-    const std::uint8_t* p = base;
-    const std::uint8_t* const end = base + buf.size();
-    while (p < end) {
-      const std::uint64_t k = load_u64(p);
-      const std::uint64_t sk = sort_key(k, 1);
-      if (slot_bits(k, 1) >= domain) ok = false;
-      keys.push_back({sk, static_cast<std::uint32_t>(p - base)});
-      ormask |= sk;
-      andmask &= sk;
-      sorted = sorted && sk >= prev;
-      prev = sk;
-      p += 9 + 2 * std::popcount(std::uint32_t{p[8]});
-    }
-    if (ok && !sorted) {
-      // The same early-radix threshold the dense per-shard sort uses:
-      // passes above shard_shift_ are constant inside a shard and the
-      // varying-bit skip drops them automatically.
-      sort_keyoff(keys, keys_buf, ormask ^ andmask, kRadixMinRows / 8);
-    }
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      sparse_decode_at(base, keys[i].off, out[i]);
-    }
-    return ok;
-  }
-
-  bool sort_sparse_sharded_v1(VertexId domain) {
-    std::array<std::size_t, kShardCount + 1> off{};
-    for (std::size_t s = 0; s < kShardCount; ++s) {
-      off[s + 1] = off[s] + shard_sp_rows_[s];
-    }
-    n16_.resize(off[kShardCount]);
-    bool ok = true;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic, 1) reduction(&& : ok) \
-    if (off[kShardCount] > (1u << 15))
-#endif
-    for (int s = 0; s < static_cast<int>(kShardCount); ++s) {
-      if (shard_sp16_[s].empty()) continue;
-      ok = sort_sparse_shard_v1(shard_sp16_[s], shard_sp_rows_[s], domain,
-                                n16_.data() + off[s]) &&
-           ok;
-    }
-    shard_sp16_.clear();
-    shard_sp16_.shrink_to_fit();
-    shard_sp_rows_.clear();
-    shard_sp_rows_.shrink_to_fit();
-    shard_rows_ = 0;
-    sharded_ = false;
-    sparse_ = false;
-    return ok;
-  }
-
-  /// Concatenate the shards into n16_ in shard order (ascending-v1
-  /// blocks) and leave sharded mode, dropping the shard caches.
-  void flatten_shards() {
-    if (!sharded_) return;
-    n16_.reserve(n16_.size() + shard_rows_);
-    for (auto& shard : shard16_) {
-      n16_.insert(n16_.end(), shard.begin(), shard.end());
-      shard.clear();
-      shard.shrink_to_fit();
-    }
-    shard16_.clear();
-    shard16_.shrink_to_fit();
-    shard_combine_.clear();
-    shard_combine_.shrink_to_fit();
-    shard_rows_ = 0;
-    sharded_ = false;
-  }
-
-  /// Leave sharded mode mid-accumulation (a width escalation or a
-  /// mixed absorb): flatten and stand up the global combining cache so
-  /// the probe path can continue the phase.
-  void unshard() {
-    flatten_shards();
-    if (combine_.empty()) combine_.resize(kCombineSlots);
-  }
-
-  /// The sharded slot-1 seal: shard blocks are ascending in v1, so
-  /// each shard sorts independently — radix with every pass above
-  /// shard_shift_ pre-satisfied, or a plain comparison sort for small
-  /// shards — and lands at its prefix offset of the flattened buffer;
-  /// the concatenation is exactly the global order the dense seal's
-  /// comparator produces. The copy doubles as the flatten, so a failed
-  /// validation (a v1 outside [0, domain), e.g. kNoVertex) still
-  /// leaves the rows flattened for the caller's dense fallback.
-  bool sort_sharded_by_v1(VertexId domain) {
-    // Small and mid-size tables: the per-shard sorts cannot amortize
-    // their fixed costs (a histogram + prefix scan per radix pass per
-    // shard), so the pre-satisfied leading passes are a net loss —
-    // flatten and sort globally, exactly like the probe engine's seal.
-    // Measured crossover (bench_accumulate, 1 pinned core) is around
-    // 16k rows per shard; below it the global radix wins or ties.
-    if (shard_rows_ < kShardCount * 4 * kRadixMinRows) {
-      flatten_shards();
-      return sort_dispatch(n16_, 1, domain);
-    }
-    std::array<std::size_t, kShardCount + 1> off{};
-    for (std::size_t s = 0; s < kShardCount; ++s) {
-      off[s + 1] = off[s] + shard16_[s].size();
-    }
-    n16_.resize(off[kShardCount]);
-    bool ok = true;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic, 1) reduction(&& : ok) \
-    if (off[kShardCount] > (1u << 15))
-#endif
-    for (int s = 0; s < static_cast<int>(kShardCount); ++s) {
-      auto& rows = shard16_[s];
-      if (rows.empty()) continue;
-      ok = sort_shard_v1(rows, domain) && ok;
-      std::memcpy(n16_.data() + off[s], rows.data(),
-                  rows.size() * sizeof(rows[0]));
-    }
-    shard16_.clear();
-    shard16_.shrink_to_fit();
-    shard_rows_ = 0;
-    sharded_ = false;
-    return ok;
-  }
-
-  static bool sort_shard_v1(std::vector<Row16>& rows, VertexId domain) {
-    // A shard is ~1/64 of the table, so the global radix threshold would
-    // send nearly every shard to the comparison sort; per-shard radix
-    // pays off much earlier because the passes above shard_shift_ are
-    // pre-satisfied by the shard cut and skipped outright.
-    if (rows.size() >= kRadixMinRows / 8) {
-      return sort_radix_impl(rows, 1, domain);
-    }
-    for (const Row16& r : rows) {
-      if (slot_bits(r.k, 1) >= domain) return false;
-    }
-    // Equal keys are about to be merged; an unstable sort suffices.
-    std::sort(rows.begin(), rows.end(),
-              [](const Row16& a, const Row16& b) {
-                return sort_key(a.k, 1) < sort_key(b.k, 1);
-              });
-    return true;
   }
 
   /// OR of the lanes of `src` selected by `m` (bounds their max).
@@ -1832,8 +640,6 @@ class FlatRowsT {
   }
 
   void to_u32() {
-    unsparse();
-    if (sharded_) flatten_shards();
     n32_.resize(n16_.size());
     for (std::size_t i = 0; i < n16_.size(); ++i) {
       n32_[i].k = n16_[i].k;
@@ -1846,8 +652,6 @@ class FlatRowsT {
   }
 
   void to_wide() {
-    unsparse();
-    if (sharded_) flatten_shards();
     if (mode_ == Mode::kWide) return;
     const std::size_t n = size();
     const std::size_t at = wide_.size();
@@ -1888,23 +692,6 @@ class FlatRowsT {
            (k & 0xFFu);
   }
 
-  template <typename W>
-  static bool sort_dispatch(std::vector<PackedFlatRowT<B, W>>& rows,
-                            int slot, VertexId domain) {
-    switch (seal_sort_algo()) {
-      case SealSortAlgo::kComparison:
-        return sort_comparison_impl(rows, slot, domain);
-      case SealSortAlgo::kRadix: return sort_radix_impl(rows, slot, domain);
-      case SealSortAlgo::kAuto: break;
-    }
-    // Tiny tables: the per-bucket comparison sort has no per-pass setup
-    // and its buckets fit in cache; everything else goes radix.
-    return rows.size() >= kRadixMinRows
-               ? sort_radix_impl(rows, slot, domain)
-               : sort_comparison_impl(rows, slot, domain);
-  }
-
-  static constexpr std::size_t kRadixMinRows = 4096;
   static constexpr int kRadixBits = 11;
   static constexpr std::uint32_t kRadixBuckets = 1u << kRadixBits;
 
@@ -2187,32 +974,7 @@ class FlatRowsT {
   std::vector<PackedFlatRowT<B, std::uint32_t>> n32_;
   std::vector<Entry> wide_;
   std::vector<CombineSlot> combine_;
-
-  // Accumulation-phase state (engine binding + sharded storage).
-  bool prepared_ = false;
-  bool sharded_ = false;
-  AccumEngine engine_ = AccumEngine::kProbe;
-  int shard_shift_ = 0;
-  std::size_t shard_rows_ = 0;
   std::uint64_t combine_folds_ = 0;
-  std::uint64_t run_emits_ = 0;
-  std::uint64_t frontier_folds_ = 0;
-  std::vector<std::vector<Row16>> shard16_;
-  std::vector<CombineSlot> shard_combine_;
-
-  // Sparse emission state (CCBT_EMIT; u16 mode only). Probe keeps one
-  // record buffer; the sharded engine keeps one per shard plus its row
-  // count (the seal's per-shard prefix offsets). sparse_flip_at_ is the
-  // kAuto policy's armed row count: a dense sharded phase crossing it
-  // re-encodes and continues sparse (kNoSparseFlip = disarmed).
-  static constexpr std::size_t kNoSparseFlip =
-      std::numeric_limits<std::size_t>::max();
-  bool sparse_ = false;
-  std::size_t sparse_flip_at_ = kNoSparseFlip;
-  std::size_t sp_rows_ = 0;
-  std::vector<std::uint8_t> sp16_;
-  std::vector<std::vector<std::uint8_t>> shard_sp16_;
-  std::vector<std::uint32_t> shard_sp_rows_;
 };
 
 }  // namespace ccbt

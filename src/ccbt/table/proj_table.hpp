@@ -217,13 +217,6 @@ class ProjTableT {
     return lane_compressed_ ? ckeys_[i] : entries_[i].key;
   }
 
-  /// Make the indexed row accessors usable on an unsealed table:
-  /// mid-accumulation sharded rows (see FlatRowsT::prepare_emit) carry
-  /// no row index until flattened. No-op on sealed or dense tables.
-  void ensure_row_access() {
-    if (packed_flat_) pflat_.ensure_flat();
-  }
-
   /// Row i as a dense entry: a reference into the table when dense, a
   /// reference to `tmp` (filled by expanding the packed row) when
   /// compressed or narrow.
@@ -244,19 +237,22 @@ class ProjTableT {
   }
 
   /// Visit every row as a dense entry, in table order. Works on an
-  /// unsealed from_packed table too, even while its rows still sit in
-  /// accumulation shards (the root table's lane totals read it there).
+  /// unsealed from_packed table too (the root table's lane totals read
+  /// it there).
   template <typename F>
   void for_each_entry(F&& f) const {
+    Entry tmp;
     if (packed_flat_) {
-      pflat_.for_each_dense(f);
+      for (std::size_t i = 0; i < pflat_.size(); ++i) {
+        pflat_.row(i, tmp);
+        f(tmp);
+      }
       return;
     }
     if (!lane_compressed_) {
       for (const Entry& e : entries_) f(e);
       return;
     }
-    Entry tmp;
     for (std::size_t i = 0; i < ckeys_.size(); ++i) {
       tmp.key = ckeys_[i];
       tmp.cnt = payload_.expand(i);
@@ -465,14 +461,8 @@ class ProjTableT {
   VertexId detect_domain(int slot) const {
     VertexId max_v = 0;
     const std::size_t n = size();
-    if (packed_flat_) {
-      // Shard-aware (and skips the per-row key unpack): indexed key
-      // access is unavailable while the rows sit in shards.
-      max_v = pflat_.max_slot_value(slot);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        max_v = std::max(max_v, key_at(i).v[slot]);
-      }
+    for (std::size_t i = 0; i < n; ++i) {
+      max_v = std::max(max_v, key_at(i).v[slot]);
     }
     if (max_v == std::numeric_limits<VertexId>::max()) return 0;  // kNoVertex
     const std::uint64_t domain = std::uint64_t{max_v} + 1;
@@ -505,12 +495,9 @@ class ProjTableT {
   /// Narrow flat rows -> masked columnar layout (ckeys_ + payload_).
   void pack_lanes_from_flat();
 
-  /// Narrow flat rows -> dense entries (order preserved; shard-aware).
+  /// Narrow flat rows -> dense entries (order preserved).
   void unpack_flat() {
-    entries_.clear();
-    entries_.reserve(pflat_.size());
-    pflat_.for_each_dense([&](const Entry& e) { entries_.push_back(e); });
-    pflat_.clear();
+    entries_ = pflat_.take_wide();
     packed_flat_ = false;
     layout_.packed = false;
   }

@@ -23,7 +23,6 @@
 #include "ccbt/dist/dist_engine.hpp"
 #include "ccbt/graph/generators.hpp"
 #include "ccbt/query/catalog.hpp"
-#include "ccbt/table/flat_rows.hpp"
 #include "ccbt/util/rng.hpp"
 
 namespace ccbt {
@@ -32,24 +31,6 @@ namespace {
 std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   const char* env = std::getenv(name);
   return env != nullptr ? std::strtoull(env, nullptr, 10) : fallback;
-}
-
-const char* accum_name(AccumEngine e) {
-  switch (e) {
-    case AccumEngine::kProbe: return "probe";
-    case AccumEngine::kSharded: return "sharded";
-    case AccumEngine::kAuto: break;
-  }
-  return "auto";
-}
-
-const char* emit_name(EmitFormat f) {
-  switch (f) {
-    case EmitFormat::kDense: return "dense";
-    case EmitFormat::kSparse: return "sparse";
-    case EmitFormat::kAuto: break;
-  }
-  return "auto";
 }
 
 QueryGraph pick_query(std::uint64_t die) {
@@ -72,8 +53,6 @@ struct DiffConfig {
   int width = 0;
   std::uint32_t ranks = 0;
   bool faulty = false;
-  AccumEngine accum = AccumEngine::kAuto;
-  EmitFormat emit = EmitFormat::kAuto;
   ExecOptions opts;
 
   std::string describe() const {
@@ -83,8 +62,6 @@ struct DiffConfig {
            " compact=" + std::to_string(opts.compact_accum) +
            " lane_compress=" + std::to_string(opts.lane_compress) +
            " packed_merge=" + std::to_string(opts.packed_merge) +
-           " accum=" + accum_name(accum) +
-           " emit=" + emit_name(emit) +
            " faulty=" + std::to_string(faulty);
   }
 };
@@ -101,20 +78,6 @@ DiffConfig draw_config(std::uint64_t seed) {
   c.opts.compact_accum = rng.below(2) == 0;
   c.opts.lane_compress = rng.below(4) != 0;  // mostly on (the default)
   c.opts.packed_merge = rng.below(4) != 0;
-  // Accumulation-engine axis: draw one per config unless CCBT_ACCUM
-  // pins the whole process (the sanitizer job sweeps each pin in turn).
-  if (std::getenv("CCBT_ACCUM") == nullptr) {
-    const AccumEngine engines[] = {AccumEngine::kAuto, AccumEngine::kProbe,
-                                   AccumEngine::kSharded};
-    c.accum = engines[rng.below(3)];
-  }
-  // Emission-format axis, same pattern: sparse records vs the dense
-  // fixed-stride oracle, crossed with everything above.
-  if (std::getenv("CCBT_EMIT") == nullptr) {
-    const EmitFormat formats[] = {EmitFormat::kAuto, EmitFormat::kDense,
-                                  EmitFormat::kSparse};
-    c.emit = formats[rng.below(3)];
-  }
   c.faulty = rng.below(2) == 0;
   if (c.faulty) {
     c.opts.dist.faults.seed = seed * 31 + 7;
@@ -129,28 +92,12 @@ DiffConfig draw_config(std::uint64_t seed) {
   return c;
 }
 
-/// Restore the process-wide accumulation pin however the sweep exits
-/// (configs that drew an explicit engine leave it set otherwise).
-struct AccumPinGuard {
-  ~AccumPinGuard() {
-    if (std::getenv("CCBT_ACCUM") == nullptr) {
-      set_accum_engine(AccumEngine::kAuto);
-    }
-    if (std::getenv("CCBT_EMIT") == nullptr) {
-      set_emit_format(EmitFormat::kAuto);
-    }
-  }
-};
-
 TEST(DifferentialEngines, RandomConfigsAgreeAcrossEnginesAndWidths) {
   const std::uint64_t base = env_u64("CCBT_DIFF_SEED", 0);
   const std::uint64_t iters = env_u64("CCBT_DIFF_ITERS", 6);
-  AccumPinGuard pin_guard;
   for (std::uint64_t it = 0; it < iters; ++it) {
     const DiffConfig c = draw_config(base * 1000 + it);
     SCOPED_TRACE(c.describe());
-    if (std::getenv("CCBT_ACCUM") == nullptr) set_accum_engine(c.accum);
-    if (std::getenv("CCBT_EMIT") == nullptr) set_emit_format(c.emit);
     const CsrGraph g = erdos_renyi(c.n, c.m, c.seed * 13 + 5);
     Rng qrng(c.seed * 17 + 3);
     const QueryGraph q = pick_query(qrng.below(24));

@@ -3,9 +3,21 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdint>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "ccbt/graph/coloring.hpp"
+#include "ccbt/graph/io.hpp"
 #include "ccbt/util/error.hpp"
 #include "ccbt/graph/csr_graph.hpp"
 #include "ccbt/graph/degree_order.hpp"
@@ -43,6 +55,115 @@ TEST(EdgeListTest, RoundTripThroughText) {
 TEST(EdgeListTest, RejectsMalformedLine) {
   std::stringstream ss("1 two\n");
   EXPECT_THROW(read_edge_list(ss), Error);
+}
+
+/// Parse `text` as an edge list; nullopt when the loader rejects it.
+std::optional<EdgeList> try_read(const std::string& text) {
+  std::stringstream ss(text);
+  try {
+    return read_edge_list(ss);
+  } catch (const Error&) {
+    return std::nullopt;
+  }
+}
+
+TEST(EdgeListTest, MutatedTextInputsAreRejected) {
+  // Each mutant replaces the second line of a valid three-edge list; the
+  // loader must reject it instead of truncating, wrapping or ignoring
+  // part of the line.
+  const std::string head = "# tiny\n0 1\n";
+  const std::string tail = "2 0\n";
+  ASSERT_TRUE(try_read(head + "1 2\n" + tail).has_value());
+  const char* const rejected[] = {
+      "1 4294967298",          // 2^32 + 2: used to alias vertex 2
+      "4294967298 2",
+      "1 4294967295",          // kNoVertex itself
+      "1 18446744073709551616",  // past u64
+      "-3 2",                  // negative ids used to wrap
+      "1 -3",
+      "+1 2",
+      "1 2 3",                 // trailing garbage
+      "1 2 x",
+      "1 2x",
+      "1x 2",
+      "1,2",
+      "1",
+      "one 2",
+  };
+  for (const char* line : rejected) {
+    EXPECT_FALSE(try_read(head + line + "\n" + tail).has_value()) << line;
+  }
+  // Blanks around the pair, CRLF endings and the largest legal id load.
+  const std::pair<const char*, std::pair<VertexId, VertexId>> accepted[] = {
+      {"1 2\r", {1, 2}},
+      {" 1\t2  ", {1, 2}},
+      {"1 4294967294", {1, 4294967294u}},
+  };
+  for (const auto& [line, edge] : accepted) {
+    const auto list = try_read(head + line + "\n" + tail);
+    ASSERT_TRUE(list.has_value()) << line;
+    ASSERT_EQ(list->edges.size(), 3u) << line;
+    EXPECT_EQ(list->edges[1].u, edge.first) << line;
+    EXPECT_EQ(list->edges[1].v, edge.second) << line;
+  }
+}
+
+TEST(GraphBinaryTest, MutatedSnapshotsAreRejected) {
+  // A valid 4-vertex snapshot, then every truncation and a set of header
+  // and body overwrites: each must throw Error (not bad_alloc, not a
+  // corrupted CSR), and the untouched file must load unchanged.
+  EdgeList list;
+  list.num_vertices = 4;
+  list.add(0, 1);
+  list.add(1, 2);
+  list.add(2, 3);
+  const CsrGraph g = CsrGraph::from_edges(list);
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("ccbt_mutation_" + std::to_string(::getpid()) + ".bin");
+  save_graph_binary(g, path.string());
+  std::vector<char> image;
+  {
+    std::ifstream in(path, std::ios::binary);
+    image.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  // Layout: magic u32 | version u32 | num_vertices u32 | m u64 | m × (u, v).
+  constexpr std::size_t kNumVertices = 8;
+  constexpr std::size_t kEdgeCount = 12;
+  constexpr std::size_t kEdges = 20;
+  ASSERT_EQ(image.size(), kEdges + 3 * 8);
+  auto load = [&](const std::vector<char>& bytes) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    return load_graph_binary(path.string());
+  };
+  auto with = [&](std::size_t at, auto value) {
+    std::vector<char> bytes = image;
+    std::memcpy(bytes.data() + at, &value, sizeof(value));
+    return bytes;
+  };
+  const CsrGraph back = load(image);
+  EXPECT_EQ(back.num_vertices(), 4u);
+  EXPECT_EQ(back.num_edges(), 3u);
+  for (std::size_t n = 0; n < image.size(); ++n) {
+    const std::vector<char> cut(image.begin(),
+                                image.begin() + static_cast<std::ptrdiff_t>(n));
+    EXPECT_THROW(load(cut), Error) << "truncated to " << n;
+  }
+  const std::vector<std::vector<char>> rejected = {
+      with(0, std::uint32_t{0}),                      // magic
+      with(4, std::uint32_t{2}),                      // version
+      with(kEdgeCount, std::uint64_t{4}),             // one edge too many
+      with(kEdgeCount, std::uint64_t{1} << 40),       // huge reserve
+      with(kEdgeCount, ~std::uint64_t{0}),
+      with(kNumVertices, std::uint32_t{3}),           // endpoint 3 >= 3
+      with(kEdges, std::uint32_t{4}),                 // u == num_vertices
+      with(kEdges + 4, std::uint32_t{0xFFFFFFFFu}),   // v == kNoVertex
+  };
+  for (std::size_t i = 0; i < rejected.size(); ++i) {
+    EXPECT_THROW(load(rejected[i]), Error) << "mutant " << i;
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(CsrGraphTest, NeighborsSortedAndSymmetric) {

@@ -1,15 +1,19 @@
 // Lane-compressed count rows: the packed (occupancy mask + variable-width
 // payload) table layout, the narrow accumulation rows, and the compressed
 // wire format must reproduce the dense layout's results exactly — across
-// B in {2, 4, 8}, forced u16 -> u32 -> u64 overflow escalation, and the
-// all-lanes-dense worst case (which must *stay* dense).
+// B in {2, 4, 8}, forced u16 -> u32 -> u64 overflow escalation (at the
+// seal and mid-accumulation, across per-thread absorbs), combining-cache
+// folds that overflow into duplicate rows, and the all-lanes-dense worst
+// case (which must *stay* dense).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <map>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "ccbt/core/color_coding.hpp"
@@ -468,6 +472,14 @@ TEST(LaneCompressFlat, CombiningCacheU16OverflowFallsThroughToSeal) {
   src.c = {0x7000, 0};
   const int reps = 40;  // 40 * 0x7000 = 0x118000 > u16
   for (int i = 0; i < reps; ++i) f.append_masked_u16(src.k, src, 0b01);
+  // Every second append fits the live row (0x7000 + 0x7000 <= 0xFFFF)
+  // and folds; the one after overflows and pushes a fresh row.
+  AccumTelemetry tel;
+  f.collect_telemetry(tel);
+  EXPECT_EQ(tel.phases, 1u);
+  EXPECT_EQ(tel.rows, static_cast<std::uint64_t>(reps / 2));
+  EXPECT_EQ(tel.combine_folds, static_cast<std::uint64_t>(reps / 2));
+  EXPECT_EQ(tel.emit_bytes, tel.rows * sizeof(src));
   ASSERT_TRUE(f.sort_by_slot(1, 16));
   f.merge_duplicates();
   EXPECT_FALSE(f.mode() == FlatRowsT<2>::Mode::kU16);
@@ -476,6 +488,220 @@ TEST(LaneCompressFlat, CombiningCacheU16OverflowFallsThroughToSeal) {
   ASSERT_EQ(totals.count(key), 1u);
   EXPECT_EQ(totals.at(key)[0], static_cast<Count>(reps) * 0x7000ull);
   EXPECT_EQ(totals.at(key)[1], 0u);
+}
+
+TEST(LaneCompressFlat, EveryAppendPathCountsItsFolds) {
+  // The generic, masked and u16 appends all fold a hot key into its live
+  // row; each fold is one combine_folds tick in the phase telemetry.
+  TableKey k;
+  k.v[0] = 3;
+  k.v[1] = 4;
+  k.sig = 5;
+  auto c = LaneOps<4>::zero();
+  LaneOps<4>::set_lane(c, 1, 2);
+  PackedFlatRowT<4, std::uint16_t> src;
+  src.k = pack_key(k);
+  src.c = {0, 2, 0, 0};
+  FlatRowsT<4> f;
+  for (int i = 0; i < 5; ++i) f.append(k, c);
+  for (int i = 0; i < 5; ++i) f.append_masked(k, c, 0b0010, 2);
+  for (int i = 0; i < 5; ++i) f.append_masked_u16(src.k, src, 0b0010);
+  AccumTelemetry tel;
+  f.collect_telemetry(tel);
+  EXPECT_EQ(tel.rows, 1u);
+  EXPECT_EQ(tel.combine_folds, 14u);
+  // The counter survives the per-thread reduction.
+  FlatRowsT<4> g;
+  for (int i = 0; i < 3; ++i) g.append(k, c);
+  f.absorb(std::move(g));
+  AccumTelemetry sum;
+  f.collect_telemetry(sum);
+  EXPECT_EQ(sum.combine_folds, 16u);
+  EXPECT_EQ(sum.rows, 2u);
+}
+
+template <int B>
+using RowSpec = std::pair<TableKey, typename LaneOps<B>::Vec>;
+
+/// The oracle: key -> summed lane counts straight from the emission list.
+template <int B>
+std::map<std::array<std::uint64_t, 5>, std::array<Count, B>> spec_totals(
+    const std::vector<RowSpec<B>>& rows) {
+  std::map<std::array<std::uint64_t, 5>, std::array<Count, B>> out;
+  for (const auto& [k, c] : rows) {
+    auto& acc = out[{k.v[0], k.v[1], k.v[2], k.v[3], k.sig}];
+    for (int l = 0; l < B; ++l) acc[l] += LaneOps<B>::lane(c, l);
+  }
+  return out;
+}
+
+/// Append `rows` round-robin across `parts` sinks, then absorb into one —
+/// the per-thread reduction shape accumulate_flat uses.
+template <int B>
+FlatRowsT<B> build_sink(const std::vector<RowSpec<B>>& rows, int parts) {
+  std::vector<FlatRowsT<B>> sinks(parts);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    sinks[i % parts].append(rows[i].first, rows[i].second);
+  }
+  FlatRowsT<B> out = std::move(sinks[0]);
+  for (int p = 1; p < parts; ++p) out.absorb(std::move(sinks[p]));
+  return out;
+}
+
+/// Same-v1 burst stream with in-burst and cross-burst duplicates — the
+/// extend loop's emission shape, which the combining cache folds.
+template <int B>
+std::vector<RowSpec<B>> burst_stream(Rng& rng, int bursts, int burst_len,
+                                     VertexId domain, Count max_count) {
+  std::vector<RowSpec<B>> rows;
+  rows.reserve(static_cast<std::size_t>(bursts) * burst_len);
+  for (int b = 0; b < bursts; ++b) {
+    const auto v1 = static_cast<VertexId>(rng.below(domain / 2) * 2 %
+                                          domain);
+    for (int i = 0; i < burst_len; ++i) {
+      TableKey k;
+      k.v[0] = static_cast<VertexId>(rng.below(domain));
+      k.v[1] = v1;
+      k.sig = static_cast<Signature>(rng.below(32));
+      auto c = LaneOps<B>::zero();
+      LaneOps<B>::set_lane(c, static_cast<int>(rng.below(B)),
+                           1 + rng.below(max_count));
+      rows.push_back({k, c});
+      if (i % 4 == 3) rows.push_back(rows.back());  // in-burst dup
+    }
+  }
+  return rows;
+}
+
+/// Accumulate `rows` across four absorbed sinks, check the width the
+/// phase ended at, seal by `slot` and require one row per key, in slot
+/// order, with the oracle's exact totals. A sink that went wide refuses
+/// the narrow sort (the table seals on the dense path instead).
+template <int B>
+void expect_exact_seal(const std::vector<RowSpec<B>>& rows, int slot,
+                       VertexId domain,
+                       typename FlatRowsT<B>::Mode accumulated) {
+  FlatRowsT<B> f = build_sink<B>(rows, 4);
+  ASSERT_EQ(f.mode(), accumulated);
+  const bool sorted = f.sort_by_slot(slot, domain);
+  ASSERT_EQ(sorted, f.narrow());
+  if (sorted) {
+    f.merge_duplicates();
+    std::vector<std::uint64_t> keys;
+    if (f.mode() == FlatRowsT<B>::Mode::kU16) {
+      for (const auto& r : f.rows_u16()) keys.push_back(r.k);
+    } else if (f.mode() == FlatRowsT<B>::Mode::kU32) {
+      for (const auto& r : f.rows_u32()) keys.push_back(r.k);
+    }
+    auto order = [slot](std::uint64_t k) {
+      const std::uint64_t field = (k >> (slot == 0 ? 36 : 8)) &
+                                  kPacked28NoVertex;
+      return std::pair{field, k};
+    };
+    for (std::size_t i = 1; i < keys.size(); ++i) {
+      ASSERT_LT(order(keys[i - 1]), order(keys[i])) << "row " << i;
+    }
+  }
+  EXPECT_EQ(flat_totals(std::move(f)), spec_totals<B>(rows));
+}
+
+template <int B>
+void run_fold_suite(Count max_count) {
+  const VertexId domain = 50'000;
+  for (const int slot : {0, 1}) {
+    Rng rng(900 + slot);
+    expect_exact_seal<B>(burst_stream<B>(rng, 400, 24, domain, max_count),
+                         slot, domain, FlatRowsT<B>::Mode::kU16);
+    // Tiny table: the comparison sort below the radix cutoff.
+    expect_exact_seal<B>(burst_stream<B>(rng, 8, 6, domain, max_count),
+                         slot, domain, FlatRowsT<B>::Mode::kU16);
+    // Dup-heavy 24-key universe: long combining-cache hit chains.
+    expect_exact_seal<B>(burst_stream<B>(rng, 300, 20, 24, max_count),
+                         slot, 24, FlatRowsT<B>::Mode::kU16);
+  }
+}
+
+TEST(LaneCompressFlat, FoldedAccumulationSealsExactlyB2) {
+  run_fold_suite<2>(9);
+}
+TEST(LaneCompressFlat, FoldedAccumulationSealsExactlyB8) {
+  run_fold_suite<8>(9);
+}
+// Counts near the u16 folding edge: cache sums overflow into duplicate
+// rows, and only the seal's merge may escalate the width.
+TEST(LaneCompressFlat, FoldOverflowFallsThroughToSealB8) {
+  run_fold_suite<8>(60'000);
+}
+
+/// A u16 burst stream with oversized counts spliced in from a third of
+/// the way on: the sink escalates mid-phase (u16 -> u32 for counts past
+/// u16, straight to wide past u32), carries every earlier row across,
+/// and keeps folding in the wider width.
+template <int B>
+void run_escalation_suite(Count big,
+                          typename FlatRowsT<B>::Mode accumulated) {
+  const VertexId domain = 50'000;
+  Rng rng(4242);
+  std::vector<RowSpec<B>> rows = burst_stream<B>(rng, 300, 24, domain, 9);
+  for (std::size_t i = rows.size() / 3; i < rows.size();
+       i += rows.size() / 5) {
+    auto c = LaneOps<B>::zero();
+    LaneOps<B>::set_lane(c, static_cast<int>(i % B), big);
+    rows[i].second = c;
+  }
+  for (const int slot : {0, 1}) {
+    expect_exact_seal<B>(rows, slot, domain, accumulated);
+  }
+}
+
+TEST(LaneCompressFlat, MidPhaseEscalateToU32B8) {
+  run_escalation_suite<8>(Count{1} << 20, FlatRowsT<8>::Mode::kU32);
+}
+TEST(LaneCompressFlat, MidPhaseEscalateToU32B2) {
+  run_escalation_suite<2>(Count{1} << 20, FlatRowsT<2>::Mode::kU32);
+}
+TEST(LaneCompressFlat, MidPhaseEscalateToWideB8) {
+  run_escalation_suite<8>(Count{1} << 40, FlatRowsT<8>::Mode::kWide);
+}
+
+TEST(LaneCompressFlat, AbsorbAcrossWidthsIsExact) {
+  // Per-thread sinks can end a phase at different widths: absorb raises
+  // both sides to the wider one, in either order, losing no count.
+  constexpr int B = 8;
+  using Mode = FlatRowsT<B>::Mode;
+  Rng rng(321);
+  const auto base = burst_stream<B>(rng, 100, 16, 5000, 9);
+  auto extra_row = [](Mode m) {
+    TableKey k;
+    k.v[0] = 11;
+    k.v[1] = 13;
+    k.sig = 1;
+    auto c = LaneOps<B>::zero();
+    LaneOps<B>::set_lane(c, 2, m == Mode::kU16 ? 3 : Count{1} << 20);
+    if (m == Mode::kWide) k.v[2] = 17;  // unpackable key
+    return RowSpec<B>{k, c};
+  };
+  for (const Mode ma : {Mode::kU16, Mode::kU32, Mode::kWide}) {
+    for (const Mode mb : {Mode::kU16, Mode::kU32, Mode::kWide}) {
+      std::vector<RowSpec<B>> all;
+      FlatRowsT<B> a;
+      FlatRowsT<B> b;
+      for (std::size_t i = 0; i < base.size(); ++i) {
+        (i % 2 == 0 ? a : b).append(base[i].first, base[i].second);
+        all.push_back(base[i]);
+      }
+      for (const auto& [sink, m] : {std::pair{&a, ma}, std::pair{&b, mb}}) {
+        const RowSpec<B> r = extra_row(m);
+        sink->append(r.first, r.second);
+        all.push_back(r);
+        ASSERT_EQ(sink->mode(), m);
+      }
+      a.absorb(std::move(b));
+      EXPECT_EQ(a.mode(), std::max(ma, mb));
+      EXPECT_TRUE(b.empty());
+      EXPECT_EQ(flat_totals(std::move(a)), spec_totals<B>(all));
+    }
+  }
 }
 
 // ------------------------------------------------------------ lane simd

@@ -1,35 +1,27 @@
-// The narrow seal's two sort engines — the LSD radix sort over the
-// slot-permuted packed key and the original counting partition +
-// per-bucket comparison sort — must be interchangeable: same row order
-// (stability included), same escalation decisions, same merged counts,
-// across every batch width, payload width, and adversarial key
-// distribution. The checkpoint restore path additionally relies on a
-// sorted input surviving either engine untouched.
+// The narrow seal's two sorts — the LSD radix sort over the
+// slot-permuted packed key and the counting partition + per-bucket
+// comparison sort — must be interchangeable: same row order (stability
+// included), same escalation decisions, same merged counts, across every
+// batch width, payload width, and adversarial key distribution.
+// sort_by_slot picks one by row count alone; these tests call each
+// directly (sort_by_slot_radix / sort_by_slot_comparison). The checkpoint
+// restore path additionally relies on a sorted input surviving the radix
+// sort untouched.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <span>
 #include <utility>
 #include <vector>
 
-#include "ccbt/core/color_coding.hpp"
-#include "ccbt/dist/dist_engine.hpp"
-#include "ccbt/graph/generators.hpp"
-#include "ccbt/query/catalog.hpp"
 #include "ccbt/table/flat_rows.hpp"
 #include "ccbt/table/table_key.hpp"
 #include "ccbt/util/rng.hpp"
 
 namespace ccbt {
 namespace {
-
-/// Restore the process-wide kAuto policy however a test exits.
-struct SealAlgoGuard {
-  ~SealAlgoGuard() { set_seal_sort_algo(SealSortAlgo::kAuto); }
-};
 
 template <int B>
 using RowSpec = std::pair<TableKey, typename LaneOps<B>::Vec>;
@@ -97,21 +89,18 @@ std::vector<std::uint64_t> keys_of(const FlatRowsT<B>& f) {
   return ks;
 }
 
-/// The core property: both engines report the same success, produce the
+/// The core property: both sorts report the same success, produce the
 /// same key sequence (equal-key rows are interchangeable only until the
-/// dedup sums their run — the comparison engine's per-bucket sort does
+/// dedup sums their run — the comparison sort's per-bucket sort does
 /// not promise their relative order), and after merge_duplicates hold
 /// the same deduped rows, escalation mode and scan stats bit for bit.
 template <int B>
 void expect_sort_parity(const std::vector<RowSpec<B>>& rows, int slot,
                         VertexId domain, int parts = 4) {
-  SealAlgoGuard guard;
   FlatRowsT<B> cmp = build_sink<B>(rows, parts);
   FlatRowsT<B> rad = build_sink<B>(rows, parts);
-  set_seal_sort_algo(SealSortAlgo::kComparison);
-  const bool cmp_ok = cmp.sort_by_slot(slot, domain);
-  set_seal_sort_algo(SealSortAlgo::kRadix);
-  const bool rad_ok = rad.sort_by_slot(slot, domain);
+  const bool cmp_ok = cmp.sort_by_slot_comparison(slot, domain);
+  const bool rad_ok = rad.sort_by_slot_radix(slot, domain);
   ASSERT_EQ(cmp_ok, rad_ok);
   if (!cmp_ok) {
     // A refused sort must leave the rows exactly as appended.
@@ -143,8 +132,8 @@ template <int B>
 void run_distribution_suite(Count max_count) {
   const VertexId domain = 300;
   for (const int slot : {0, 1}) {
-    // Uniform keys, below the radix row-count cutoff (explicit kRadix
-    // still exercises the radix engine there).
+    // Uniform keys, below the radix row-count cutoff (the pinned radix
+    // call still exercises the radix sort there).
     {
       Rng rng(100 + slot);
       std::vector<RowSpec<B>> rows;
@@ -153,7 +142,8 @@ void run_distribution_suite(Count max_count) {
       }
       expect_sort_parity<B>(rows, slot, domain);
     }
-    // Above the cutoff (kAuto also picks radix here), duplicate-heavy:
+    // Above the cutoff (sort_by_slot also picks radix here),
+    // duplicate-heavy:
     // a 24-key universe over 6000 rows makes ~250-row equal-key runs.
     {
       Rng rng(200 + slot);
@@ -209,7 +199,7 @@ TEST(SealSort, RadixMatchesComparisonU16B4) { run_distribution_suite<4>(900); }
 TEST(SealSort, RadixMatchesComparisonU16B8) { run_distribution_suite<8>(900); }
 
 // Counts past the u16 boundary: the sinks escalate to u32 rows (40 bytes
-// at B = 8 — the key-index gather path of the radix engine).
+// at B = 8 — the key-index gather path of the radix sort).
 TEST(SealSort, RadixMatchesComparisonU32B4) {
   run_distribution_suite<4>(0x40000);
 }
@@ -219,7 +209,7 @@ TEST(SealSort, RadixMatchesComparisonU32B8) {
 
 TEST(SealSort, WideEscapeRefusesIdentically) {
   // An unpackable key (slot 2 occupied) drives the sink wide; both
-  // engines must then refuse the narrow sort and leave the rows alone.
+  // sorts must then refuse the narrow sort and leave the rows alone.
   Rng rng(600);
   std::vector<RowSpec<8>> rows;
   for (int i = 0; i < 500; ++i) {
@@ -231,7 +221,7 @@ TEST(SealSort, WideEscapeRefusesIdentically) {
 
 TEST(SealSort, OutOfDomainSlotRefusesIdentically) {
   // A slot value at/above `domain` (kNoVertex included) must make both
-  // engines return false with the rows untouched.
+  // sorts return false with the rows untouched.
   Rng rng(650);
   std::vector<RowSpec<4>> rows;
   for (int i = 0; i < 300; ++i) {
@@ -242,11 +232,10 @@ TEST(SealSort, OutOfDomainSlotRefusesIdentically) {
 }
 
 TEST(SealSort, RadixIsStable) {
-  // Direct stability check on the radix engine alone: duplicate keys
+  // Direct stability check on the radix sort alone: duplicate keys
   // with distinguishable counts must keep their append order — the exact
-  // row sequence std::stable_sort produces under the engine's
+  // row sequence std::stable_sort produces under the sort's
   // (slot bucket, raw packed key) order.
-  SealAlgoGuard guard;
   for (const int slot : {0, 1}) {
     Rng rng(800 + slot);
     std::vector<RowSpec<8>> rows;
@@ -257,7 +246,6 @@ TEST(SealSort, RadixIsStable) {
     }
     FlatRowsT<8> f = build_sink<8>(rows, 8);
     ASSERT_EQ(f.mode(), FlatRowsT<8>::Mode::kU16);
-    f.ensure_flat();  // sparse emission keeps unsealed rows as records
     auto ref = f.rows_u16();  // copy of the appended order
     std::stable_sort(ref.begin(), ref.end(),
                      [slot](const auto& a, const auto& b) {
@@ -268,88 +256,27 @@ TEST(SealSort, RadixIsStable) {
                        }
                        return a.k < b.k;
                      });
-    set_seal_sort_algo(SealSortAlgo::kRadix);
-    ASSERT_TRUE(f.sort_by_slot(slot, 16));
+    ASSERT_TRUE(f.sort_by_slot_radix(slot, 16));
     expect_same_rows<8>(f.rows_u16(), ref);
   }
 }
 
 TEST(SealSort, SortedInputSurvivesRadixUntouched) {
   // The checkpoint restore property: decoded shards arrive in sealed
-  // order, and the radix engine's validation pass must detect that and
+  // order, and the radix sort's validation pass must detect that and
   // return without moving a row — re-sealing is bit-identical.
-  SealAlgoGuard guard;
   Rng rng(700);
   std::vector<RowSpec<8>> rows;
   for (int i = 0; i < 5000; ++i) {
     rows.push_back(make_row<8>(rng, 200, 900));
   }
   FlatRowsT<8> f = build_sink<8>(rows, 4);
-  set_seal_sort_algo(SealSortAlgo::kComparison);
-  ASSERT_TRUE(f.sort_by_slot(1, 200));
+  ASSERT_TRUE(f.sort_by_slot_comparison(1, 200));
   f.merge_duplicates();
   ASSERT_EQ(f.mode(), FlatRowsT<8>::Mode::kU16);
   FlatRowsT<8> again = f;
-  set_seal_sort_algo(SealSortAlgo::kRadix);
-  ASSERT_TRUE(again.sort_by_slot(1, 200));
+  ASSERT_TRUE(again.sort_by_slot_radix(1, 200));
   expect_same_rows<8>(f.rows_u16(), again.rows_u16());
-}
-
-TEST(SealSort, CheckpointReplayBitIdenticalUnderBothEngines) {
-  // End to end: a faulty distributed run that restores from checkpoints
-  // must report the fault-free counts whichever seal engine re-seals the
-  // decoded shards.
-  SealAlgoGuard guard;
-  const CsrGraph g = erdos_renyi(32, 110, 8);
-  const QueryGraph q = q_glet2();
-  const Plan plan = make_plan(q);
-  std::vector<Coloring> lanes;
-  for (int l = 0; l < 8; ++l) {
-    lanes.emplace_back(g.num_vertices(), q.num_nodes(), 7100 + l);
-  }
-  const ColoringBatch batch{std::span<const Coloring>(lanes)};
-  set_seal_sort_algo(SealSortAlgo::kAuto);
-  const DistStats clean = run_plan_distributed(g, plan.tree, batch, 4, {});
-  for (const SealSortAlgo algo :
-       {SealSortAlgo::kComparison, SealSortAlgo::kRadix}) {
-    set_seal_sort_algo(algo);
-    ExecOptions opts;
-    opts.dist.faults.seed = 31;
-    opts.dist.faults.alloc_fail_rate = 0.05;
-    opts.dist.max_replays = 16;
-    opts.dist.checkpoint_interval = 2;
-    const DistStats faulty =
-        run_plan_distributed(g, plan.tree, batch, 4, opts);
-    for (int l = 0; l < 8; ++l) {
-      EXPECT_EQ(faulty.colorful_lane[l], clean.colorful_lane[l])
-          << "algo " << static_cast<int>(algo) << " lane " << l;
-    }
-    EXPECT_GT(faulty.faults.replays, 0u);
-  }
-}
-
-TEST(SealSort, EnginePinnedRunsAgreeLaneForLane) {
-  // Whole-pipeline cross-check on a real workload: per-lane colorful
-  // counts can't depend on which seal sort the run happened to use.
-  SealAlgoGuard guard;
-  const CsrGraph g = erdos_renyi(60, 260, 12);
-  std::vector<std::uint64_t> seeds{7200, 7201, 7202, 7203,
-                                   7204, 7205, 7206, 7207};
-  for (const QueryGraph& q : {q_glet2(), q_youtube(), q_cycle(5)}) {
-    const Plan plan = make_plan(q);
-    set_seal_sort_algo(SealSortAlgo::kComparison);
-    CountingSession sc(g, q, plan, ExecOptions{});
-    const ExecStats a = sc.count_colorful_seeded(
-        std::span<const std::uint64_t>(seeds.data(), 8));
-    set_seal_sort_algo(SealSortAlgo::kRadix);
-    CountingSession sr(g, q, plan, ExecOptions{});
-    const ExecStats b = sr.count_colorful_seeded(
-        std::span<const std::uint64_t>(seeds.data(), 8));
-    for (int l = 0; l < 8; ++l) {
-      EXPECT_EQ(a.colorful_lane[l], b.colorful_lane[l])
-          << q.name() << " lane " << l;
-    }
-  }
 }
 
 }  // namespace
