@@ -56,11 +56,13 @@ struct Cell {
   double per_trial_ms = 0.0;  // amortized
   double speedup = 1.0;       // vs the B = 1 baseline on the same cell
   bool lanes_match = true;    // per-trial counts identical to baseline
-  // Lane-layout telemetry sampled from one batched execution: what the
-  // seal-time chooser observed and decided (B > 1).
+  // Lane-layout telemetry sampled from one batched execution (B > 1):
+  // observed lane density, and the share and payload widths of sealed
+  // rows that stayed in the narrow flat layout (stored tables are dense
+  // and count in the denominator only).
   double lane_density = 0.0;
-  double packed_share = 0.0;  // rows re-packed / rows sealed
-  std::array<std::uint64_t, 3> width_hist{};  // packed rows per u16/u32/u64
+  double narrow_share = 0.0;  // narrow flat rows / rows sealed
+  std::array<std::uint64_t, 3> width_hist{};  // narrow rows per u16/u32/u64
   // Per-stage wall breakdown summed over the cell's plan executions.
   StageWall stage;
   // Accumulate-stage wall vs the B = 1 cell of the same (graph, query)
@@ -158,7 +160,7 @@ int main() {
             cell.accum = sample.accum;
             if (width > 1) {
               cell.lane_density = sample.lanes.density();
-              cell.packed_share =
+              cell.narrow_share =
                   sample.lanes.rows == 0
                       ? 0.0
                       : static_cast<double>(sample.lanes.rows_packed) /
@@ -373,7 +375,7 @@ int main() {
         width, gs, gm);
   }
   std::printf(
-      "(supersteps fall by exactly B; the lane-compressed wire format —\n"
+      "(supersteps fall by exactly B; the compressed wire format —\n"
       " occupancy mask + width-adapted packed counts — makes wire bytes\n"
       " track true lane density, see table/README.md \"When to batch\";\n"
       " bytes ratio > 1 means B > 1 moves fewer bytes per trial than\n"
@@ -422,8 +424,8 @@ int main() {
         "    {\"graph\": \"%s\", \"query\": \"%s\", \"B\": %d, "
         "\"wall_s\": %.6f, \"ms_per_trial\": %.4f, "
         "\"speedup\": %.3f, \"lanes_match\": %s, "
-        "\"lane_density\": %.4f, \"packed_row_share\": %.4f, "
-        "\"packed_width_hist\": {\"u16\": %llu, \"u32\": %llu, "
+        "\"lane_density\": %.4f, \"narrow_row_share\": %.4f, "
+        "\"narrow_width_hist\": {\"u16\": %llu, \"u32\": %llu, "
         "\"u64\": %llu}, "
         "\"stage\": {\"accumulate\": %.6f, \"seal\": %.6f, "
         "\"merge\": %.6f}, "
@@ -433,7 +435,7 @@ int main() {
         "\"combine_folds\": %llu}}%s\n",
         c.graph.c_str(), c.query.c_str(), c.width, c.wall, c.per_trial_ms,
         c.speedup, c.lanes_match ? "true" : "false", c.lane_density,
-        c.packed_share,
+        c.narrow_share,
         static_cast<unsigned long long>(c.width_hist[0]),
         static_cast<unsigned long long>(c.width_hist[1]),
         static_cast<unsigned long long>(c.width_hist[2]),

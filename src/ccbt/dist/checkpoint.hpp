@@ -4,20 +4,18 @@
 // A checkpoint is a byte-level snapshot of the sealed-shard state that
 // persists across supersteps: every child-block table the DistPool has
 // stored so far, plus the position (next block, transport superstep) the
-// engine replays from. Shard images reuse the PR 3 lane-compressed wire
-// encoding (table/lane_payload.hpp) — the same per-row
+// engine replays from. Shard images reuse the row wire encoding
+// (table/lane_payload.hpp) — the same per-row
 // [key | mask | width | packed counts] bytes the transport sends — so
 // checkpoint size tracks true lane density and the encoder/decoder pair
 // is the one already exercised by every superstep.
 //
 // Restore rebuilds each table from its decoded row multiset and re-seals
-// with the storage convention (kByV0 + the pool's layout hint). Because
-// serialization iterates the sealed row order, the decoded rows are
-// already sorted: the radix seal's validation pass detects that and
-// leaves them untouched, the comparison seal is a stable sort, and the
-// layout chooser is deterministic either way — so a restored table is
-// bit-identical to the one checkpointed under both seal engines, the
-// property behind the "replayed run equals fault-free run" guarantee.
+// it kByV0, the storage convention, into a dense shard. Serialization
+// iterates the sealed row order and keys are unique, so the decoded rows
+// are already in the dense seal's full-key order: a restored table is
+// bit-identical to the one checkpointed, the property behind the
+// "replayed run equals fault-free run" guarantee.
 //
 // Integrity: every shard image carries a magic word and its row count;
 // truncated, oversized, or misparsed images throw CheckpointCorrupt

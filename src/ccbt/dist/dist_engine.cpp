@@ -20,9 +20,11 @@ namespace ccbt {
 namespace {
 
 // The per-entry join logic lives in the kernels of engine/primitives.hpp,
-// shared verbatim with the shared-memory engine — that sharing is what
-// guarantees exact load-model parity at every batch width. This file only
-// routes kernel emissions through the transport.
+// shared verbatim with the shared-memory engine. This file only routes
+// kernel emissions through the transport. At B = 1 the two engines'
+// load models agree exactly. At B > 1 they agree exactly on some plans
+// and charge slightly different ops on others (test_dist_engine pins the
+// plans that agree); counts always agree.
 
 /// Distributed execution state threaded through every primitive: the
 /// shared-memory ExecContext (whose LoadModel the primitives charge
@@ -92,8 +94,6 @@ template <int B>
 DistTableT<B> d_init_path_from_child(Dx<B>& dx, const DistTableT<B>& child,
                                      const ExtendOpts& o) {
   const ExecContext& cx = dx.cx;
-  // Stored child shards may be lane-compressed: for_each_entry expands
-  // each masked payload row on the fly.
   {
     ScopedStage timed(cx.stage_slot(&StageWall::accumulate));
     for (std::uint32_t r = 0; r < dx.ranks(); ++r) {
@@ -114,11 +114,10 @@ DistTableT<B> d_extend_with_graph(Dx<B>& dx, DistTableT<B>& path,
   const ExecContext& cx = dx.cx;
   // The shared engine's batched extension seals (and thereby merges) the
   // path before iterating; sealing the shards keeps the iterated row
-  // multiset — and hence every load-model charge — in exact parity. The
-  // sealed shards are consumed once right below: stay dense (kStream).
+  // multiset — and hence every load-model charge — in parity.
   if constexpr (B > 1) {
     ScopedStage timed(cx.stage_slot(&StageWall::seal));
-    path.seal_shards(SortOrder::kByV1, dx.domain, LaneSealHint::kStream);
+    path.seal_shards(SortOrder::kByV1, dx.domain);
   }
   {
     ScopedStage timed(cx.stage_slot(&StageWall::accumulate));
@@ -142,21 +141,19 @@ DistTableT<B> d_extend_with_child(Dx<B>& dx, DistTableT<B>& path,
   const ExecContext& cx = dx.cx;
   if constexpr (B > 1) {
     ScopedStage timed(cx.stage_slot(&StageWall::seal));
-    path.seal_shards(SortOrder::kByV1, dx.domain, LaneSealHint::kStream);
+    path.seal_shards(SortOrder::kByV1, dx.domain);
   }
   // Path entries with frontier v and child entries (v, w, ..) are
-  // co-located at owner(v): the EdgeJoin probe is rank-local. The child
-  // shard may be lane-compressed (stored tables): it is probed once per
-  // path row, so ChildProbe expands it once up front.
+  // co-located at owner(v): the EdgeJoin probe is rank-local. Stored
+  // child shards are dense, so the probe reads group() directly.
   {
     ScopedStage timed(cx.stage_slot(&StageWall::accumulate));
     for (std::uint32_t r = 0; r < dx.ranks(); ++r) {
       cx.note_lanes(path.shard(r).layout());
-      const detail::ChildProbe<B> probe(child.shard(r));
+      const ProjTableT<B>& cs = child.shard(r);
       auto emit = dx.route_to_slot(r, 1);
       path.shard(r).for_each_entry([&](const TableEntryT<B>& e) {
-        kernel_extend_with_child<B>(cx, e, probe.group(0, e.key.v[1]), o,
-                                    emit);
+        kernel_extend_with_child<B>(cx, e, cs.group(0, e.key.v[1]), o, emit);
       });
     }
   }
@@ -183,11 +180,10 @@ DistTableT<B> d_node_join(Dx<B>& dx, const DistTableT<B>& path,
   {
     ScopedStage timed(cx.stage_slot(&StageWall::accumulate));
     for (std::uint32_t r = 0; r < dx.ranks(); ++r) {
-      const detail::ChildProbe<B> probe(child.shard(r));
+      const ProjTableT<B>& cs = child.shard(r);
       auto emit = dx.route_to_slot(r, 1);
       src->shard(r).for_each_entry([&](const TableEntryT<B>& e) {
-        kernel_node_join<B>(cx, e, probe.group(0, e.key.v[slot]), slot,
-                            emit);
+        kernel_node_join<B>(cx, e, cs.group(0, e.key.v[slot]), slot, emit);
       });
     }
   }
@@ -206,11 +202,10 @@ void d_merge_halves(Dx<B>& dx, DistTableT<B>& plus, DistTableT<B>& minus,
                     const MergeSpec& spec,
                     std::vector<AccumMapT<B>>& sinks) {
   const ExecContext& cx = dx.cx;
-  // Both halves are consumed by this one merge: stay dense (kStream).
   {
     ScopedStage timed(cx.stage_slot(&StageWall::seal));
-    plus.seal_shards(SortOrder::kByV0V1, dx.domain, LaneSealHint::kStream);
-    minus.seal_shards(SortOrder::kByV0V1, dx.domain, LaneSealHint::kStream);
+    plus.seal_shards(SortOrder::kByV0V1, dx.domain);
+    minus.seal_shards(SortOrder::kByV0V1, dx.domain);
   }
   {
     ScopedStage timed_merge(cx.stage_slot(&StageWall::merge));
@@ -293,26 +288,24 @@ DistTableT<B> d_aggregate(Dx<B>& dx, const DistTableT<B>& t, int new_arity) {
 
 /// Solved child-block tables: stored home slot 0, shards sealed kByV0
 /// (the same convention as the shared TablePool), with lazily cached
-/// transposes produced by a transport superstep. Stored shards seal with
-/// the kStore hint, so at B > 1 they re-pack into the lane-compressed
-/// layout when the observed density makes that smaller.
+/// transposes produced by a transport superstep. Stored shards are
+/// dense: collect() builds them from flat dense rows.
 template <int B>
 class DistPool {
  public:
-  DistPool(std::size_t num_blocks, VertexId domain, bool compress,
+  DistPool(std::size_t num_blocks, VertexId domain,
            StageWall* stage = nullptr)
       : tables_(num_blocks),
         transposed_(num_blocks),
         has_transposed_(num_blocks, false),
         stored_(num_blocks, false),
         domain_(domain),
-        hint_(compress ? LaneSealHint::kStore : LaneSealHint::kStream),
         stage_(stage) {}
 
   void store(int block, DistTableT<B> table) {
     {
       ScopedStage timed(stage_ == nullptr ? nullptr : &stage_->seal);
-      table.seal_shards(SortOrder::kByV0, domain_, hint_);
+      table.seal_shards(SortOrder::kByV0, domain_);
     }
     tables_[block] = std::move(table);
     stored_[block] = true;
@@ -326,15 +319,15 @@ class DistPool {
       // A transpose is a transport superstep plus a sealing collect;
       // charge it to transport (the seal inside is not separable here).
       ScopedStage timed(stage_ == nullptr ? nullptr : &stage_->transport);
-      transposed_[block] = tables_[block].transposed(
-          dx.comm, dx.part(), dx.budget, domain_, hint_);
+      transposed_[block] = tables_[block].transposed(dx.comm, dx.part(),
+                                                     dx.budget, domain_);
       has_transposed_[block] = true;
     }
     return transposed_[block];
   }
 
-  /// Serialize every stored table shard-by-shard through the
-  /// lane-compressed wire encoding. Cached transposes are deliberately
+  /// Serialize every stored table shard-by-shard through the wire
+  /// encoding (table/lane_payload.hpp). Cached transposes are deliberately
   /// not captured: they regenerate on demand after a restore.
   CheckpointImageT<B> checkpoint(std::size_t next_block,
                                  std::uint64_t supersteps) const {
@@ -358,11 +351,9 @@ class DistPool {
   }
 
   /// Rebuild the stored tables from `img`, dropping everything newer.
-  /// Decoded rows arrive in sealed order with unique keys, so re-sealing
-  /// reproduces the checkpointed shards bit for bit whichever seal sort
-  /// is active: the radix engine's validation pass detects the sorted
-  /// input and leaves it in place, the comparison engine is stable, and
-  /// the layout chooser is deterministic either way.
+  /// Decoded rows arrive in sealed order with unique keys, and the dense
+  /// seal orders rows by their full key, so re-sealing reproduces the
+  /// checkpointed shards bit for bit.
   void restore(const CheckpointImageT<B>& img, std::uint32_t ranks) {
     std::fill(stored_.begin(), stored_.end(), false);
     std::fill(has_transposed_.begin(), has_transposed_.end(), false);
@@ -383,7 +374,7 @@ class DistPool {
       }
       tables_[ti.block] = DistTableT<B>::from_shard_rows(
           ti.arity, ti.home_slot, std::move(rows), SortOrder::kByV0,
-          domain_, hint_);
+          domain_);
       stored_[ti.block] = true;
     }
   }
@@ -394,7 +385,6 @@ class DistPool {
   std::vector<bool> has_transposed_;
   std::vector<bool> stored_;
   VertexId domain_;
-  LaneSealHint hint_;
   StageWall* stage_ = nullptr;
 };
 
@@ -514,8 +504,7 @@ DistStats run_plan_distributed_impl(const CsrGraph& g, const DecompTree& tree,
                         opts.dist.deadline_ms);
   }
   Dx<B> dx{cx, comm, opts.max_table_entries, g.num_vertices(), fp};
-  DistPool<B> pool(tree.blocks.size(), g.num_vertices(),
-                   opts.lane_compress, &stats.stage);
+  DistPool<B> pool(tree.blocks.size(), g.num_vertices(), &stats.stage);
 
   stats.lanes_used = batch.lanes();
   auto record_root = [&](const typename LaneOps<B>::Vec& totals) {

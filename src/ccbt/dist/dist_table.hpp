@@ -41,12 +41,11 @@ class DistTableT {
   ///
   /// Batched widths adopt the inbox rows flat (duplicates merge at the
   /// shard's first sorting seal), mirroring the shared engine's flat
-  /// accumulation so both engines iterate identical row multisets — the
-  /// invariant behind their exact load-model parity.
+  /// accumulation so both engines iterate the same row multisets — the
+  /// basis of their load-model parity.
   static DistTableT collect(int arity, int home_slot, VirtualCommT<B>& comm,
                             SortOrder order, std::size_t budget,
-                            VertexId domain = 0,
-                            LaneSealHint hint = LaneSealHint::kStore) {
+                            VertexId domain = 0) {
     DistTableT t;
     t.arity_ = arity;
     t.home_slot_ = home_slot;
@@ -67,21 +66,19 @@ class DistTableT {
         throw BudgetExceeded("distributed table exceeded " +
                              std::to_string(budget) + " entries");
       }
-      shard.seal(order, domain, hint);
+      shard.seal(order, domain);
       t.shards_[r] = std::move(shard);
     }
     return t;
   }
 
   /// Materialize from per-rank row sequences (checkpoint restore), one
-  /// shard per rank, sealed in `order` with `hint`. Rows decoded from a
+  /// dense shard per rank, sealed in `order`. Rows decoded from a
   /// checkpoint arrive in sealed order with unique keys, so re-sealing
-  /// (a stable sort + deterministic layout choice) reproduces the
-  /// checkpointed table bit for bit.
+  /// reproduces the checkpointed table bit for bit.
   static DistTableT from_shard_rows(int arity, int home_slot,
                                     std::vector<std::vector<Entry>> rows,
-                                    SortOrder order, VertexId domain,
-                                    LaneSealHint hint) {
+                                    SortOrder order, VertexId domain) {
     DistTableT t;
     t.arity_ = arity;
     t.home_slot_ = home_slot;
@@ -95,7 +92,7 @@ class DistTableT {
       } else {
         shard = ProjTableT<B>::from_flat(arity, std::move(rows[r]));
       }
-      shard.seal(order, domain, hint);
+      shard.seal(order, domain);
       t.shards_[r] = std::move(shard);
     }
     return t;
@@ -183,22 +180,20 @@ class DistTableT {
   /// superstep), sealing shards in `order`.
   DistTableT resharded(int new_home, VirtualCommT<B>& comm,
                        const BlockPartition& part, SortOrder order,
-                       std::size_t budget, VertexId domain = 0,
-                       LaneSealHint hint = LaneSealHint::kStore) const {
+                       std::size_t budget, VertexId domain = 0) const {
     for (std::uint32_t r = 0; r < num_shards(); ++r) {
       shards_[r].for_each_entry([&](const Entry& e) {
         comm.send(r, part.owner(e.key.v[new_home]), e);
       });
     }
     comm.exchange();
-    return collect(arity_, new_home, comm, order, budget, domain, hint);
+    return collect(arity_, new_home, comm, order, budget, domain);
   }
 
   /// Swap key slots 0 and 1 and re-home (one superstep); shards sealed
   /// kByV0 — the storage convention for child-block tables.
   DistTableT transposed(VirtualCommT<B>& comm, const BlockPartition& part,
-                        std::size_t budget, VertexId domain = 0,
-                        LaneSealHint hint = LaneSealHint::kStore) const {
+                        std::size_t budget, VertexId domain = 0) const {
     for (std::uint32_t r = 0; r < num_shards(); ++r) {
       shards_[r].for_each_entry([&](const Entry& e) {
         Entry t = e;
@@ -208,14 +203,13 @@ class DistTableT {
     }
     comm.exchange();
     return collect(arity_, home_slot_, comm, SortOrder::kByV0, budget,
-                   domain, hint);
+                   domain);
   }
 
   /// Seal every shard (used before per-shard merge joins and when a
-  /// table is stored; `hint` drives the per-shard layout choice).
-  void seal_shards(SortOrder order, VertexId domain = 0,
-                   LaneSealHint hint = LaneSealHint::kStore) {
-    for (auto& s : shards_) s.seal(order, domain, hint);
+  /// table is stored).
+  void seal_shards(SortOrder order, VertexId domain = 0) {
+    for (auto& s : shards_) s.seal(order, domain);
   }
 
  private:

@@ -22,7 +22,7 @@ namespace ccbt {
 /// — distributed engine only — the transport exchanges.
 struct StageWall {
   double accumulate = 0.0;  // join kernels emitting rows (incl. hash adds)
-  double seal = 0.0;        // sort + dedup + layout choice / (re)packing
+  double seal = 0.0;        // sort + dedup + lane-density scan
   double merge = 0.0;       // merge_halves / merge_bucket sweeps
   double transport = 0.0;   // virtual-MPI encode/exchange/decode
 
@@ -117,23 +117,16 @@ struct ExecOptions {
   /// Use OpenMP in the join primitives.
   bool use_threads = true;
 
-  /// Accumulate joins through the compact AccumMap layouts when keys and
-  /// counts permit: packed 16-byte rows at B = 1, narrow u32 lane rows at
-  /// B > 1 (see table/accum_map.hpp).
+  /// Accumulate B = 1 joins through AccumMap's packed 16-byte rows when
+  /// keys permit (see table/accum_map.hpp). No effect at B > 1, whose
+  /// hash sinks always hold dense rows.
   bool compact_accum = true;
 
-  /// Let tables use the compressed row layouts (B > 1): the narrow flat
-  /// accumulation rows the hot path sorts and streams (table/
-  /// flat_rows.hpp) and the masked columnar layout stored tables re-pack
-  /// into when the observed lane density makes it smaller (table/
-  /// lane_payload.hpp). Off forces the dense u64[B] layout everywhere.
+  /// Let the shared engine's B > 1 path tables use the narrow flat rows
+  /// the hot path sorts, streams and merges (table/flat_rows.hpp). Off
+  /// forces the dense u64[B] layout everywhere. Stored tables, and every
+  /// table of the distributed engine, are dense either way.
   bool lane_compress = true;
-
-  /// Join the half-cycle merge directly on the narrow flat rows when both
-  /// sealed halves stayed narrow (B > 1): live-lane-intersection
-  /// multiply-add on the packed payloads, no dense per-bucket expansion.
-  /// Off forces the dense merge_bucket everywhere (parity ablation).
-  bool packed_merge = true;
 
   /// Fault injection and recovery (distributed engine only; the shared
   /// engine ignores it).
@@ -169,11 +162,6 @@ struct ExecContext {
   }
 
   std::uint32_t owner(VertexId v) const { return part.owner(v); }
-
-  /// Seal hint for tables this run stores for repeated probes.
-  LaneSealHint store_hint() const {
-    return opts.lane_compress ? LaneSealHint::kStore : LaneSealHint::kStream;
-  }
 
   void note_lanes(const LaneLayoutInfo& info) const {
     if (lane_telemetry != nullptr) lane_telemetry->note(info);

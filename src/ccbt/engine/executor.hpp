@@ -29,10 +29,10 @@ struct ExecStats {
   double avg_rank_ops = 0.0;
   std::uint64_t total_comm = 0;
 
-  /// Lane-layout telemetry aggregated over every sorting seal of the run
-  /// (B > 1; all-zero at B = 1): observed lane density, how many rows the
-  /// seal-time chooser re-packed, and at which payload widths. Makes the
-  /// layout decisions auditable (surfaced into BENCH_batch.json).
+  /// Lane-layout telemetry aggregated over the run's sealed tables
+  /// (B > 1; all-zero at B = 1): observed lane density, and how many
+  /// rows stayed in the narrow flat layout at which payload widths
+  /// (surfaced into BENCH_batch.json).
   LaneTelemetry lanes;
 
   /// Per-stage wall breakdown of the run (accumulate / seal / merge;

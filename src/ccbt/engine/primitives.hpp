@@ -24,8 +24,11 @@
 //
 // The per-entry loop bodies are exposed as kernels (emit-callback form):
 // the shared-memory primitives here and the virtual-MPI engine in
-// ccbt/dist run the same kernels, which is what guarantees their exact
-// load-model parity at every batch width.
+// ccbt/dist run the same kernels, the basis of their load-model parity.
+//
+// Stored child tables (TablePool) are always dense, so the joins probe
+// them through group() / entries() directly. Path tables at B > 1 may be
+// narrow (flat_rows.hpp) and are read through row_at / group_expanded.
 
 #include <algorithm>
 #include <array>
@@ -266,31 +269,6 @@ ProjTableT<B> accumulate_rows(const ExecContext& cx, int arity,
   }
 }
 
-/// Probe-side view of a stored child table. Joins probe the child once
-/// per path row, so a compressed or narrow child must not be decoded per
-/// probe — this expands it to dense rows ONCE up front and serves every
-/// group probe as a raw subspan through the bucket index. Dense children
-/// pay nothing (the view aliases their rows).
-template <int B>
-class ChildProbe {
- public:
-  explicit ChildProbe(const ProjTableT<B>& t) : t_(t) {
-    rows_ = t.expand_rows(0, t.size(), scratch_);
-  }
-  ChildProbe(const ChildProbe&) = delete;
-  ChildProbe& operator=(const ChildProbe&) = delete;
-
-  std::span<const TableEntryT<B>> group(int slot, VertexId v) const {
-    const auto [lo, hi] = t_.group_span(slot, v);
-    return rows_.subspan(lo, hi - lo);
-  }
-
- private:
-  const ProjTableT<B>& t_;
-  std::vector<TableEntryT<B>> scratch_;
-  std::span<const TableEntryT<B>> rows_;
-};
-
 }  // namespace detail
 
 // ---------------------------------------------------------------- kernels
@@ -508,12 +486,10 @@ template <int B>
 ProjTableT<B> init_path_from_child(const ExecContext& cx,
                                    const ProjTableT<B>& child, bool flip,
                                    const ExtendOpts& o) {
-  // Stored child tables may be compressed or narrow: row_at expands each
-  // row into a dense entry on the stack (a plain reference when dense).
+  const auto rows = child.entries();
   return detail::accumulate_rows<B>(
-      cx, 2, child.size(), [&](std::size_t i, auto&& emit) {
-        TableEntryT<B> tmp;
-        kernel_init_from_child<B>(cx, child.row_at(i, tmp), flip, o, emit);
+      cx, 2, rows.size(), [&](std::size_t i, auto&& emit) {
+        kernel_init_from_child<B>(cx, rows[i], flip, o, emit);
       });
 }
 
@@ -545,10 +521,9 @@ ProjTableT<B> extend_with_graph_grouped(const ExecContext& cx,
                                         const ExtendOpts& o) {
   const CsrGraph& g = cx.g;
   const VertexId n = g.num_vertices();
-  // The sealed path is consumed once right below: stay dense (kStream).
   {
     ScopedStage timed(cx.stage_slot(&StageWall::seal));
-    path.seal(SortOrder::kByV1, n, LaneSealHint::kStream);
+    path.seal(SortOrder::kByV1, n);
     // DB probes only accept anchors strictly above the new vertex:
     // rank-partition each frontier bucket (anchor rank descending) so
     // every neighbor scan below stops at a partition point instead of
@@ -807,18 +782,16 @@ ProjTableT<B> extend_with_child(const ExecContext& cx, ProjTableT<B>& path,
                                 const ExtendOpts& o) {
   {
     ScopedStage timed(cx.stage_slot(&StageWall::seal));
-    path.seal(SortOrder::kByV1, cx.g.num_vertices(), LaneSealHint::kStream);
+    path.seal(SortOrder::kByV1, cx.g.num_vertices());
   }
   cx.note_lanes(path.layout());
   // The sealed path at B > 1 may be narrow: row_at decodes on read
-  // (no-op when dense). The stored child is probed once per path row, so
-  // a compressed child is expanded once up front instead.
-  const detail::ChildProbe<B> probe(child);
+  // (no-op when dense).
   return detail::accumulate_rows<B>(
       cx, path.arity(), path.size(), [&](std::size_t i, auto&& emit) {
         TableEntryT<B> tmp;
         const TableEntryT<B>& e = path.row_at(i, tmp);
-        kernel_extend_with_child<B>(cx, e, probe.group(0, e.key.v[1]), o,
+        kernel_extend_with_child<B>(cx, e, child.group(0, e.key.v[1]), o,
                                     emit);
       });
 }
@@ -829,12 +802,11 @@ ProjTableT<B> extend_with_child(const ExecContext& cx, ProjTableT<B>& path,
 template <int B>
 ProjTableT<B> node_join(const ExecContext& cx, const ProjTableT<B>& path,
                         const ProjTableT<B>& child, int slot) {
-  const detail::ChildProbe<B> probe(child);
   return detail::accumulate_rows<B>(
       cx, path.arity(), path.size(), [&](std::size_t i, auto&& emit) {
         TableEntryT<B> tmp;
         const TableEntryT<B>& e = path.row_at(i, tmp);
-        kernel_node_join<B>(cx, e, probe.group(0, e.key.v[slot]), slot,
+        kernel_node_join<B>(cx, e, child.group(0, e.key.v[slot]), slot,
                             emit);
       });
 }
@@ -970,8 +942,8 @@ void merge_bucket(const ExecContext& cx, std::span<const TableEntryT<B>> pu,
 /// live-lane prefilter, the pair-compatibility test and the multiply-add
 /// all run on the packed payloads, with no dense expansion of either
 /// bucket. Mixed widths join through the two width template parameters;
-/// only a table that left the narrow layout altogether falls back to the
-/// dense kernel. Narrow lane products always fit u64 exactly (even
+/// only a table that left the narrow layout altogether takes the dense
+/// kernel. Narrow lane products always fit u64 exactly (even
 /// u32 x u32 < 2^64), so the emitted counts are bit-identical to
 /// mul_masked over the expanded rows; charges and sends match the dense
 /// kernel row for row.
@@ -1081,11 +1053,10 @@ void merge_halves(const ExecContext& cx, ProjTableT<B>& plus,
                   AccumMapT<B>& sink) {
   using Vec = typename LaneOps<B>::Vec;
   const VertexId n = cx.g.num_vertices();
-  // Both halves are consumed by this one merge: stay dense (kStream).
   {
     ScopedStage timed(cx.stage_slot(&StageWall::seal));
-    plus.seal(SortOrder::kByV0V1, n, LaneSealHint::kStream);
-    minus.seal(SortOrder::kByV0V1, n, LaneSealHint::kStream);
+    plus.seal(SortOrder::kByV0V1, n);
+    minus.seal(SortOrder::kByV0V1, n);
   }
   cx.note_lanes(plus.layout());
   cx.note_lanes(minus.layout());
@@ -1098,10 +1069,8 @@ void merge_halves(const ExecContext& cx, ProjTableT<B>& plus,
     // on each side's payload width); otherwise each slot-0 bucket is
     // decoded through group_expanded into a scratch (a raw subspan when
     // dense, so B = 1 and dense tables pay nothing).
-    const FlatRowsT<B>* const pflat =
-        cx.opts.packed_merge ? plus.flat_storage() : nullptr;
-    const FlatRowsT<B>* const mflat =
-        cx.opts.packed_merge ? minus.flat_storage() : nullptr;
+    const FlatRowsT<B>* const pflat = plus.flat_storage();
+    const FlatRowsT<B>* const mflat = minus.flat_storage();
     auto merge_u = [&](VertexId u, auto&& add,
                        std::vector<TableEntryT<B>>& pscratch,
                        std::vector<TableEntryT<B>>& mscratch) {

@@ -15,26 +15,18 @@
 // index depend only on keys, so all widths share one implementation;
 // `ProjTable` aliases the scalar B = 1 instantiation.
 //
-// At B > 1 a sorting seal() additionally *picks the row layout*: it scans
-// the sorted rows' lane density and maximum count and — when the caller
-// stores the table for reuse (LaneSealHint::kStore) and the compressed
-// form is smaller — re-packs the dense `u64[B]` count vectors into a
-// per-row occupancy bitmask plus width-adapted packed payload
-// (lane_payload.hpp). Readers either take the dense span fast path
-// (entries()/group(), valid while the table is dense) or go through the
-// layout-independent accessors (row_at, for_each_entry, group_expanded),
-// which expand compressed rows on the fly. B = 1 never re-packs: the
-// scalar table keeps the pre-batching layout bit for bit.
-//
-// Tables built from the batched engine's narrow flat sink (from_packed,
-// flat_rows.hpp) add a third layout: rows stay as (packed u64 key,
-// narrow count vector) straight through the sorting seal — the counting
-// partition, per-bucket sorts and dedup merge all move 24-byte rows
-// instead of 88-byte dense entries — and, for kStream consumers, remain
-// in that layout afterwards, read through the same layout-independent
-// accessors. The dense fallback (unpackable keys, u64-range counts, or
-// no usable bucket-index domain) is automatic and changes no observable
-// counts.
+// Rows live in one of two layouts. Dense `TableEntryT<B>` rows are the
+// default: every table built by from_map / from_flat, every stored child
+// table, and every B = 1 table. At B > 1 the hot path's path tables come
+// from the narrow flat sink (from_packed, flat_rows.hpp) and stay as
+// (packed u64 key, u16/u32 lanes) rows straight through the sorting
+// seal — the counting partition, per-bucket sorts and dedup merge all
+// move 24-byte rows instead of 88-byte dense entries — and afterwards,
+// read through the layout-independent accessors (row_at,
+// for_each_entry, group_expanded) or streamed raw (flat_storage). The
+// dense fallback (unpackable keys, u64-range counts, or no usable
+// bucket-index domain) is automatic and changes no observable counts.
+// entries() and group() serve dense tables only.
 
 #include <algorithm>
 #include <cstdint>
@@ -174,18 +166,13 @@ class ProjTableT {
 
   int arity() const { return arity_; }
   std::size_t size() const {
-    if (packed_flat_) return pflat_.size();
-    return lane_compressed_ ? ckeys_.size() : entries_.size();
+    return packed_flat_ ? pflat_.size() : entries_.size();
   }
   bool empty() const { return size() == 0; }
 
-  /// Dense row span — the fast path every B = 1 consumer uses. Throws
-  /// when the rows live in a compressed layout (use the
-  /// layout-independent accessors below).
+  /// Dense row span. Throws when the rows live in the narrow flat layout
+  /// (use the layout-independent accessors below).
   std::span<const Entry> entries() const {
-    if (lane_compressed_) {
-      throw Error("ProjTable::entries(): table is lane-compressed");
-    }
     if (packed_flat_) {
       throw Error("ProjTable::entries(): table is in the narrow flat layout");
     }
@@ -194,16 +181,10 @@ class ProjTableT {
 
   // ---------------------------------------------- layout-independent API
 
-  /// Whether rows live in the lane-compressed layout.
-  bool lane_compressed() const { return lane_compressed_; }
-
-  /// Whether rows live in the narrow flat layout (from_packed tables,
-  /// before and — for kStream seals — after sealing).
-  bool packed_flat() const { return packed_flat_; }
-
-  /// The narrow flat storage itself, or nullptr in the other layouts.
-  /// The extend fast path streams a sealed u16 table's raw rows into a
-  /// u16 sink without expanding them to dense entries.
+  /// The narrow flat storage (from_packed tables, before and after
+  /// sealing), or nullptr when dense. The extend fast path streams a
+  /// sealed u16 table's raw rows into a u16 sink without expanding them
+  /// to dense entries.
   const FlatRowsT<B>* flat_storage() const {
     return packed_flat_ ? &pflat_ : nullptr;
   }
@@ -213,27 +194,15 @@ class ProjTableT {
   const LaneLayoutInfo& layout() const { return layout_; }
 
   TableKey key_at(std::size_t i) const {
-    if (packed_flat_) return pflat_.key_at(i);
-    return lane_compressed_ ? ckeys_[i] : entries_[i].key;
+    return packed_flat_ ? pflat_.key_at(i) : entries_[i].key;
   }
 
   /// Row i as a dense entry: a reference into the table when dense, a
-  /// reference to `tmp` (filled by expanding the packed row) when
-  /// compressed or narrow.
+  /// reference to `tmp` (filled by widening the narrow row) otherwise.
   const Entry& row_at(std::size_t i, Entry& tmp) const {
-    if (packed_flat_) {
-      pflat_.row(i, tmp);
-      return tmp;
-    }
-    if (!lane_compressed_) return entries_[i];
-    tmp.key = ckeys_[i];
-    tmp.cnt = payload_.expand(i);
+    if (!packed_flat_) return entries_[i];
+    pflat_.row(i, tmp);
     return tmp;
-  }
-
-  /// Masked-payload view of row i (compressed tables only).
-  LaneRowViewT<B> row_view(std::size_t i) const {
-    return payload_.view(i, ckeys_[i]);
   }
 
   /// Visit every row as a dense entry, in table order. Works on an
@@ -249,15 +218,7 @@ class ProjTableT {
       }
       return;
     }
-    if (!lane_compressed_) {
-      for (const Entry& e : entries_) f(e);
-      return;
-    }
-    for (std::size_t i = 0; i < ckeys_.size(); ++i) {
-      tmp.key = ckeys_[i];
-      tmp.cnt = payload_.expand(i);
-      f(tmp);
-    }
+    for (const Entry& e : entries_) f(e);
   }
 
   /// Index range of the group with slot `slot` equal to v (same contract
@@ -270,35 +231,16 @@ class ProjTableT {
     return group_span_by_search(slot, v);
   }
 
-  /// Dense view of rows [lo, hi): the raw subspan when dense, rows
-  /// expanded into `scratch` when compressed. The returned span aliases
+  /// group() for either layout: the raw span when dense, the bucket's
+  /// rows widened into `scratch` when narrow. The returned span aliases
   /// `scratch` in the latter case — one live expansion per scratch.
-  std::span<const Entry> expand_rows(std::size_t lo, std::size_t hi,
-                                     std::vector<Entry>& scratch) const {
-    if (packed_flat_) {
-      scratch.resize(hi - lo);
-      for (std::size_t i = lo; i < hi; ++i) {
-        pflat_.row(i, scratch[i - lo]);
-      }
-      return {scratch.data(), scratch.size()};
-    }
-    if (!lane_compressed_) {
-      return {entries_.data() + lo, hi - lo};
-    }
-    scratch.resize(hi - lo);
-    for (std::size_t i = lo; i < hi; ++i) {
-      scratch[i - lo].key = ckeys_[i];
-      scratch[i - lo].cnt = payload_.expand(i);
-    }
-    return {scratch.data(), scratch.size()};
-  }
-
-  /// group() for either layout: expands the bucket through `scratch`
-  /// when compressed, returns the raw span when dense.
   std::span<const Entry> group_expanded(int slot, VertexId v,
                                         std::vector<Entry>& scratch) const {
     const auto [lo, hi] = group_span(slot, v);
-    return expand_rows(lo, hi, scratch);
+    if (!packed_flat_) return {entries_.data() + lo, hi - lo};
+    scratch.resize(hi - lo);
+    for (std::size_t i = lo; i < hi; ++i) pflat_.row(i, scratch[i - lo]);
+    return {scratch.data(), scratch.size()};
   }
 
   // ---------------------------------------------------------------------
@@ -327,10 +269,9 @@ class ProjTableT {
   /// index. With domain 0 and no detectable bound it falls back to a
   /// comparison sort and group() uses binary search.
   ///
-  /// At B > 1 the seal ends with the layout choice described in the file
-  /// comment; `hint` says whether the caller will store the table.
-  void seal(SortOrder order, VertexId domain = 0,
-            LaneSealHint hint = LaneSealHint::kStore);
+  /// Sealing never changes the layout of a dense table. A narrow table
+  /// stays narrow unless its rows resist (see seal_packed_flat).
+  void seal(SortOrder order, VertexId domain = 0);
   SortOrder order() const { return order_; }
 
   /// Whether group() resolves through the O(1) bucket index.
@@ -348,10 +289,7 @@ class ProjTableT {
   /// kByV1 with a bucket index and all rows are mergeable-duplicate free.
   void rank_partition_buckets(std::span<const std::uint32_t> ranks) {
     rank_partitioned_ = false;
-    if (!has_bucket_index() || index_slot_ != 1 || dedup_pending_ ||
-        lane_compressed_) {
-      return;
-    }
+    if (!has_bucket_index() || index_slot_ != 1 || dedup_pending_) return;
     const std::size_t nb = bucket_off_.size() - 1;
     [[maybe_unused]] const std::size_t n = size();
 #ifdef _OPENMP
@@ -380,10 +318,10 @@ class ProjTableT {
   /// Contiguous range of entries whose slot `slot` equals v; requires the
   /// matching seal order (kByV0 for slot 0, kByV1 for slot 1). O(1) when
   /// the bucket index covers `slot`, two binary searches otherwise.
-  /// Dense layout only — compressed tables use group_expanded().
+  /// Dense layout only — narrow tables use group_expanded().
   std::span<const Entry> group(int slot, VertexId v) const {
-    if (lane_compressed_ || packed_flat_) {
-      throw Error("ProjTable::group(): rows are in a compressed layout");
+    if (packed_flat_) {
+      throw Error("ProjTable::group(): table is in the narrow flat layout");
     }
     const auto [lo, hi] = group_span(slot, v);
     return {entries_.data() + lo, hi - lo};
@@ -391,8 +329,7 @@ class ProjTableT {
 
   /// Swap slots 0 and 1 in every key — the transpose of Section 5.2
   /// ("the boundary tables are transpose of each other"). Invalidates the
-  /// seal order; the result is dense (the caller reseals, which re-picks
-  /// the layout).
+  /// seal order; the result is dense.
   ProjTableT transposed() const {
     ProjTableT out(arity_);
     out.dedup_pending_ = dedup_pending_;
@@ -420,7 +357,6 @@ class ProjTableT {
   }
 
   void push_unchecked(const Entry& e) {
-    if (lane_compressed_) unpack_lanes();
     if (packed_flat_) unpack_flat();
     entries_.push_back(e);
     drop_index();
@@ -430,8 +366,7 @@ class ProjTableT {
  private:
   std::pair<std::size_t, std::size_t> group_span_by_search(
       int slot, VertexId v) const {
-    // Branchless-key binary searches over row indices (works for both
-    // layouts through key_at).
+    // Binary searches over row indices (both layouts, through key_at).
     const std::size_t n = size();
     std::size_t lo = 0, hi = n;
     while (lo < hi) {
@@ -483,17 +418,7 @@ class ProjTableT {
   /// packed 24/40-byte rows, falling back to the dense path when the
   /// rows resist (no usable domain, out-of-domain keys, or a merged
   /// count outgrowing u32).
-  void seal_packed_flat(SortOrder order, VertexId domain, LaneSealHint hint);
-
-  /// Layout decision for a sorted, deduped narrow table: stay narrow
-  /// (the hot-path default — consumers read through the
-  /// layout-independent accessors), re-pack to the masked columnar
-  /// layout when storing and it is smaller, or widen to dense when
-  /// neither compressed form pays.
-  void finish_flat_layout(LaneSealHint hint, const FlatStats& st);
-
-  /// Narrow flat rows -> masked columnar layout (ckeys_ + payload_).
-  void pack_lanes_from_flat();
+  void seal_packed_flat(SortOrder order, VertexId domain);
 
   /// Narrow flat rows -> dense entries (order preserved).
   void unpack_flat() {
@@ -554,61 +479,30 @@ class ProjTableT {
     entries_.resize(w);
   }
 
-  /// The seal-time layout choice (B > 1): scan density / max count, then
-  /// re-pack when the caller stores the table and packing shrinks it.
-  void choose_layout(LaneSealHint hint) {
+  /// Lane-density telemetry for a sealed dense table (B > 1). The scan
+  /// is bounded to a prefix sample so hot-path reseals of large
+  /// intermediate tables don't pay a second full pass over the rows.
+  void scan_dense_lanes() {
     if constexpr (B > 1) {
       if (dedup_pending_) return;
-      if (lane_compressed_) {
-        // kStream promises the dense span fast path to the consumer that
-        // follows this seal: honor it even when re-sealing an already
-        // packed (stored) table.
-        if (hint == LaneSealHint::kStream) unpack_lanes();
-        return;
-      }
-      if (hint == LaneSealHint::kStore) {
-        layout_ = scan_lane_layout<B>(
-            std::span<const Entry>(entries_.data(), entries_.size()));
-        if (lane_layout_profitable(layout_)) pack_lanes();
-        return;
-      }
-      // kStream tables never pack, so the scan is telemetry only: bound
-      // it to a prefix sample so hot-path reseals of large intermediate
-      // tables don't pay a second full pass over the rows.
-      constexpr std::size_t kStreamScanSample = 1u << 16;
+      constexpr std::size_t kScanSample = 1u << 16;
       layout_ = scan_lane_layout<B>(std::span<const Entry>(
-          entries_.data(), std::min(entries_.size(), kStreamScanSample)));
-    } else {
-      (void)hint;
+          entries_.data(), std::min(entries_.size(), kScanSample)));
     }
   }
 
-  void pack_lanes() {
-    const std::size_t n = entries_.size();
-    ckeys_.resize(n);
-    payload_.reset(layout_.width, n, layout_.lanes_occupied);
-    for (std::size_t i = 0; i < n; ++i) {
-      ckeys_[i] = entries_[i].key;
-      payload_.append(entries_[i].cnt);
-    }
-    entries_.clear();
-    entries_.shrink_to_fit();
-    lane_compressed_ = true;
+  /// Telemetry for a sorted, deduped narrow table, from the seal's merge
+  /// scan.
+  void note_flat_layout(const FlatStats& st) {
+    layout_ = LaneLayoutInfo{};
+    layout_.rows = st.rows;
+    layout_.lane_slots = st.rows * static_cast<std::uint64_t>(B);
+    layout_.lanes_occupied = st.lanes_occupied;
+    layout_.max_count = st.max_count;
+    layout_.width = pflat_.width();
+    layout_.dense_bytes = st.rows * sizeof(Entry);
+    layout_.packed_bytes = pflat_.byte_size();
     layout_.packed = true;
-  }
-
-  void unpack_lanes() {
-    const std::size_t n = ckeys_.size();
-    entries_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      entries_[i].key = ckeys_[i];
-      entries_[i].cnt = payload_.expand(i);
-    }
-    ckeys_.clear();
-    ckeys_.shrink_to_fit();
-    payload_.clear();
-    lane_compressed_ = false;
-    layout_.packed = false;
   }
 
   int arity_ = 0;
@@ -618,17 +512,11 @@ class ProjTableT {
   // intra-bucket key order is gone, so sorted_already shortcuts are off.
   bool rank_partitioned_ = false;
   std::vector<Entry> entries_;
-
-  // Lane-compressed layout (B > 1, after a kStore seal that packed):
-  // unpadded keys in table order plus the columnar packed payload.
-  // Exactly one of entries_ / (ckeys_, payload_) / pflat_ holds the rows.
-  bool lane_compressed_ = false;
-  std::vector<TableKey> ckeys_;
-  LanePayloadT<B> payload_;
   LaneLayoutInfo layout_;
 
   // Narrow flat layout (B > 1, from_packed tables): packed-key rows with
-  // width-adapted count vectors, kept through the sorting seal.
+  // width-adapted count vectors, kept through the sorting seal. Exactly
+  // one of entries_ / pflat_ holds the rows.
   bool packed_flat_ = false;
   FlatRowsT<B> pflat_;
 
@@ -640,15 +528,14 @@ class ProjTableT {
 };
 
 template <int B>
-void ProjTableT<B>::seal(SortOrder order, VertexId domain,
-                         LaneSealHint hint) {
+void ProjTableT<B>::seal(SortOrder order, VertexId domain) {
   if (order == SortOrder::kUnsorted) {
     order_ = order;
     drop_index();
     return;
   }
   if (packed_flat_) {
-    seal_packed_flat(order, domain, hint);
+    seal_packed_flat(order, domain);
     return;
   }
   const int slot = group_slot(order);
@@ -670,11 +557,9 @@ void ProjTableT<B>::seal(SortOrder order, VertexId domain,
         build_index(slot, domain);
       }
     }
-    choose_layout(hint);
+    scan_dense_lanes();
     return;
   }
-  // Re-sorting moves whole rows: work in the dense layout.
-  if (lane_compressed_) unpack_lanes();
   drop_index();
   rank_partitioned_ = false;
   if (domain > 0 &&
@@ -698,35 +583,23 @@ void ProjTableT<B>::seal(SortOrder order, VertexId domain,
     }
   }
   order_ = order;
-  choose_layout(hint);
+  scan_dense_lanes();
 }
 
 template <int B>
-void ProjTableT<B>::seal_packed_flat(SortOrder order, VertexId domain,
-                                     LaneSealHint hint) {
+void ProjTableT<B>::seal_packed_flat(SortOrder order, VertexId domain) {
   const int slot = group_slot(order);
   const bool sorted_already =
       !rank_partitioned_ &&
       (order_ == order || group_slot(order_) == slot);
+  if (sorted_already && !dedup_pending_) {
+    // Relabel / repeated seal: rows, index and telemetry are already
+    // right.
+    order_ = order;
+    return;
+  }
   if (!detail::domain_worthwhile(size(), domain)) {
     domain = detect_domain(slot);
-  }
-  if (sorted_already && !dedup_pending_) {
-    // Relabel / repeated seal: rows and index are already right; only
-    // the layout decision may change (e.g. a kStore reseal). The last
-    // seal's density scan still describes these rows — rescan only if
-    // the table was never scanned.
-    order_ = order;
-    FlatStats st;
-    if (layout_.rows == pflat_.size() && layout_.rows != 0) {
-      st.rows = layout_.rows;
-      st.lanes_occupied = layout_.lanes_occupied;
-      st.max_count = layout_.max_count;
-    } else {
-      st = pflat_.scan();
-    }
-    finish_flat_layout(hint, st);
-    return;
   }
   if (domain == 0 ||
       size() >= std::numeric_limits<std::uint32_t>::max() ||
@@ -735,7 +608,7 @@ void ProjTableT<B>::seal_packed_flat(SortOrder order, VertexId domain,
     // dense path also serves the index-less consumers, which need
     // entries().
     unpack_flat();
-    seal(order, domain, hint);
+    seal(order, domain);
     return;
   }
   rank_partitioned_ = false;
@@ -747,68 +620,18 @@ void ProjTableT<B>::seal_packed_flat(SortOrder order, VertexId domain,
     st = pflat_.scan();
   }
   order_ = order;
+  drop_index();
   if (!pflat_.narrow()) {
     // A merged count outgrew u32: the rows widened. They are already in
-    // full-key order — adopt them dense and let the dense chooser finish.
+    // full-key order — adopt them dense.
     entries_ = pflat_.take_wide();
     packed_flat_ = false;
-    drop_index();
     build_index(slot, domain);
-    choose_layout(hint);
+    scan_dense_lanes();
     return;
   }
-  drop_index();
   build_index(slot, domain);
-  finish_flat_layout(hint, st);
-}
-
-template <int B>
-void ProjTableT<B>::finish_flat_layout(LaneSealHint hint,
-                                       const FlatStats& st) {
-  layout_ = LaneLayoutInfo{};
-  layout_.rows = st.rows;
-  layout_.lane_slots = st.rows * static_cast<std::uint64_t>(B);
-  layout_.lanes_occupied = st.lanes_occupied;
-  layout_.max_count = st.max_count;
-  layout_.width = pflat_.width();
-  layout_.dense_bytes = st.rows * sizeof(Entry);
-  layout_.packed_bytes = pflat_.byte_size();
-  layout_.packed = true;
-  if (hint == LaneSealHint::kStore) {
-    // Stored tables are probed repeatedly: take the masked columnar
-    // layout when it beats the narrow rows (sparse lanes), else stay
-    // narrow, else dense.
-    LaneLayoutInfo masked = layout_;
-    masked.width = choose_payload_width(st.max_count);
-    masked.packed_bytes =
-        st.rows * (sizeof(TableKey) + 1 + 4) +
-        st.lanes_occupied *
-            static_cast<std::uint64_t>(payload_width_bytes(masked.width));
-    if (lane_layout_profitable(masked) &&
-        masked.packed_bytes < layout_.packed_bytes) {
-      layout_ = masked;
-      pack_lanes_from_flat();
-      return;
-    }
-  }
-  if (!lane_layout_profitable(layout_)) unpack_flat();
-}
-
-template <int B>
-void ProjTableT<B>::pack_lanes_from_flat() {
-  const std::size_t n = pflat_.size();
-  ckeys_.resize(n);
-  payload_.reset(layout_.width, n, layout_.lanes_occupied);
-  Entry tmp;
-  for (std::size_t i = 0; i < n; ++i) {
-    pflat_.row(i, tmp);
-    ckeys_[i] = tmp.key;
-    payload_.append(tmp.cnt);
-  }
-  pflat_.clear();
-  packed_flat_ = false;
-  lane_compressed_ = true;
-  layout_.packed = true;
+  note_flat_layout(st);
 }
 
 template <int B>

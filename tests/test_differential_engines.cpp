@@ -1,5 +1,5 @@
 // Differential fuzz across the whole engine matrix: random (graph,
-// query, batch width, layout/merge options, fault schedule) configs run
+// query, batch width, lane layout, fault schedule) configs run
 // through the shared-memory engine batched and lane-by-lane, and through
 // the distributed engine — every route must report identical per-lane
 // colorful counts. A divergence localizes to whichever leg disagrees
@@ -59,9 +59,7 @@ struct DiffConfig {
     return "seed=" + std::to_string(seed) + " n=" + std::to_string(n) +
            " m=" + std::to_string(m) + " B=" + std::to_string(width) +
            " ranks=" + std::to_string(ranks) +
-           " compact=" + std::to_string(opts.compact_accum) +
            " lane_compress=" + std::to_string(opts.lane_compress) +
-           " packed_merge=" + std::to_string(opts.packed_merge) +
            " faulty=" + std::to_string(faulty);
   }
 };
@@ -75,9 +73,7 @@ DiffConfig draw_config(std::uint64_t seed) {
   const int widths[] = {2, 4, 8};
   c.width = widths[rng.below(3)];
   c.ranks = static_cast<std::uint32_t>(2 + rng.below(4));
-  c.opts.compact_accum = rng.below(2) == 0;
   c.opts.lane_compress = rng.below(4) != 0;  // mostly on (the default)
-  c.opts.packed_merge = rng.below(4) != 0;
   c.faulty = rng.below(2) == 0;
   if (c.faulty) {
     c.opts.dist.faults.seed = seed * 31 + 7;

@@ -151,14 +151,14 @@ ProjTableT<B> make_sealed_shard(int rows) {
       e.cnt = static_cast<Count>(i + 1);
     } else {
       for (int l = 0; l < B; ++l) {
-        // Mixed lane occupancy exercises the compressed layouts.
+        // Mixed lane occupancy exercises the wire codec's lane masks.
         e.cnt[l] = (i + l) % 3 == 0 ? 0 : static_cast<Count>(i * 7 + l);
       }
     }
     entries.push_back(e);
   }
   ProjTableT<B> shard = ProjTableT<B>::from_flat(2, std::move(entries));
-  shard.seal(SortOrder::kByV0, /*domain=*/1000, LaneSealHint::kStore);
+  shard.seal(SortOrder::kByV0, /*domain=*/1000);
   return shard;
 }
 

@@ -1,10 +1,10 @@
-// Lane-compressed count rows: the packed (occupancy mask + variable-width
-// payload) table layout, the narrow accumulation rows, and the compressed
-// wire format must reproduce the dense layout's results exactly — across
-// B in {2, 4, 8}, forced u16 -> u32 -> u64 overflow escalation (at the
-// seal and mid-accumulation, across per-thread absorbs), combining-cache
-// folds that overflow into duplicate rows, and the all-lanes-dense worst
-// case (which must *stay* dense).
+// Narrow lane encodings of B > 1 counts: the narrow flat rows
+// (flat_rows.hpp) the hot path accumulates, seals and merges, and the
+// wire format of the transport and checkpoints, must reproduce the dense
+// layout's results exactly — across B in {2, 4, 8}, forced u16 -> u32 ->
+// u64 overflow escalation (at the seal and mid-accumulation, across
+// per-thread absorbs), and combining-cache folds that overflow into
+// duplicate rows. Stored tables must stay dense.
 
 #include <gtest/gtest.h>
 
@@ -17,8 +17,11 @@
 #include <vector>
 
 #include "ccbt/core/color_coding.hpp"
+#include "ccbt/dist/checkpoint.hpp"
 #include "ccbt/dist/comm.hpp"
 #include "ccbt/dist/dist_engine.hpp"
+#include "ccbt/dist/dist_table.hpp"
+#include "ccbt/engine/path_builder.hpp"
 #include "ccbt/engine/primitives.hpp"
 #include "ccbt/graph/generators.hpp"
 #include "ccbt/query/catalog.hpp"
@@ -30,181 +33,6 @@
 
 namespace ccbt {
 namespace {
-
-constexpr VertexId kDomain = 512;
-
-/// Random flat rows: `live_lanes` lanes occupied per row on average,
-/// counts uniform in [1, max_count]. Keys collide freely so the sealing
-/// dedup runs too.
-template <int B>
-std::vector<TableEntryT<B>> random_rows(std::size_t n, int live_lanes,
-                                        Count max_count,
-                                        std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<TableEntryT<B>> rows(n);
-  for (auto& e : rows) {
-    e.key.v[0] = static_cast<VertexId>(rng.below(kDomain));
-    e.key.v[1] = static_cast<VertexId>(rng.below(kDomain));
-    e.key.sig = static_cast<Signature>(1u << rng.below(8));
-    e.cnt = LaneOps<B>::zero();
-    for (int j = 0; j < live_lanes; ++j) {
-      const int l = static_cast<int>(rng.below(B));
-      LaneOps<B>::set_lane(e.cnt, l, 1 + rng.below(max_count));
-    }
-    if (LaneOps<B>::is_zero(e.cnt)) {
-      LaneOps<B>::set_lane(e.cnt, 0, 1);
-    }
-  }
-  return rows;
-}
-
-/// Seal two copies of the same rows — one kStore (may re-pack), one
-/// kStream (dense) — and require row-for-row equality through every
-/// layout-independent accessor.
-template <int B>
-void expect_layout_parity(std::vector<TableEntryT<B>> rows,
-                          SortOrder order) {
-  auto copy = rows;
-  ProjTableT<B> packed = ProjTableT<B>::from_flat(2, std::move(rows));
-  ProjTableT<B> dense = ProjTableT<B>::from_flat(2, std::move(copy));
-  packed.seal(order, kDomain, LaneSealHint::kStore);
-  dense.seal(order, kDomain, LaneSealHint::kStream);
-  ASSERT_FALSE(dense.lane_compressed());
-  ASSERT_EQ(packed.size(), dense.size());
-
-  // Whole-table scans agree.
-  EXPECT_EQ(packed.total(), dense.total());
-  EXPECT_EQ(packed.lane_totals(), dense.lane_totals());
-
-  // Row-for-row equality (row_at expands the packed payload).
-  TableEntryT<B> tmp;
-  const auto de = dense.entries();
-  for (std::size_t i = 0; i < dense.size(); ++i) {
-    const TableEntryT<B>& e = packed.row_at(i, tmp);
-    EXPECT_EQ(e.key, de[i].key) << "row " << i;
-    EXPECT_EQ(e.cnt, de[i].cnt) << "row " << i;
-  }
-
-  // Group probes agree for every key in the domain (and out of it).
-  const int slot = group_slot(order);
-  std::vector<TableEntryT<B>> scratch;
-  for (VertexId v = 0; v < kDomain + 3; ++v) {
-    const auto pg = packed.group_expanded(slot, v, scratch);
-    const auto dg = dense.group(slot, v);
-    ASSERT_EQ(pg.size(), dg.size()) << "group " << v;
-    for (std::size_t i = 0; i < pg.size(); ++i) {
-      EXPECT_EQ(pg[i].key, dg[i].key);
-      EXPECT_EQ(pg[i].cnt, dg[i].cnt);
-    }
-  }
-
-  // Derived tables agree too (transpose reads through the packed layout).
-  ProjTableT<B> pt = packed.transposed();
-  ProjTableT<B> dt = dense.transposed();
-  pt.seal(SortOrder::kByV0, kDomain, LaneSealHint::kStore);
-  dt.seal(SortOrder::kByV0, kDomain, LaneSealHint::kStream);
-  EXPECT_EQ(pt.lane_totals(), dt.lane_totals());
-  EXPECT_EQ(pt.size(), dt.size());
-}
-
-template <int B>
-void run_parity_suite() {
-  // Sparse lanes, small counts: the chooser must pack (u16 payload).
-  {
-    auto rows = random_rows<B>(4000, 1, 1000, 11);
-    ProjTableT<B> t = ProjTableT<B>::from_flat(2, std::move(rows));
-    t.seal(SortOrder::kByV0, kDomain, LaneSealHint::kStore);
-    EXPECT_TRUE(t.lane_compressed());
-    EXPECT_EQ(t.layout().width, PayloadWidth::kU16);
-  }
-  expect_layout_parity<B>(random_rows<B>(4000, 1, 1000, 17),
-                          SortOrder::kByV0);
-  expect_layout_parity<B>(random_rows<B>(4000, 2, 60000, 19),
-                          SortOrder::kByV1);
-  expect_layout_parity<B>(random_rows<B>(2500, B, 3, 23),
-                          SortOrder::kByV0V1);
-}
-
-TEST(LaneCompress, PackedTableMatchesDenseB2) { run_parity_suite<2>(); }
-TEST(LaneCompress, PackedTableMatchesDenseB4) { run_parity_suite<4>(); }
-TEST(LaneCompress, PackedTableMatchesDenseB8) { run_parity_suite<8>(); }
-
-TEST(LaneCompress, WidthEscalatesU16ToU32ToU64) {
-  // Counts just past each boundary force the next wider payload; the
-  // packed rows must survive the round trip exactly.
-  const Count boundary[] = {0xFFFFull, 0x10000ull, 0xFFFFFFFFull,
-                            0x100000000ull};
-  const PayloadWidth expect_width[] = {
-      PayloadWidth::kU16, PayloadWidth::kU32, PayloadWidth::kU32,
-      PayloadWidth::kU64};
-  for (int c = 0; c < 4; ++c) {
-    std::vector<TableEntryT<4>> rows(64);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      rows[i].key.v[0] = static_cast<VertexId>(i % 16);
-      rows[i].key.v[1] = static_cast<VertexId>(i);
-      rows[i].key.sig = 1;
-      LaneOps<4>::set_lane(rows[i].cnt, static_cast<int>(i % 4),
-                           i == 0 ? boundary[c] : 7);
-    }
-    auto copy = rows;
-    ProjTableT<4> t = ProjTableT<4>::from_flat(2, std::move(rows));
-    t.seal(SortOrder::kByV0, 16, LaneSealHint::kStore);
-    ASSERT_TRUE(t.lane_compressed()) << "case " << c;
-    EXPECT_EQ(t.layout().width, expect_width[c]) << "case " << c;
-
-    ProjTableT<4> d = ProjTableT<4>::from_flat(2, std::move(copy));
-    d.seal(SortOrder::kByV0, 16, LaneSealHint::kStream);
-    EXPECT_EQ(t.lane_totals(), d.lane_totals()) << "case " << c;
-    TableEntryT<4> tmp;
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      EXPECT_EQ(t.row_at(i, tmp).cnt, d.entries()[i].cnt);
-    }
-  }
-}
-
-TEST(LaneCompress, AllLanesDenseWorstCaseStaysDense) {
-  // Every lane occupied with u64-scale counts: the packed form would be
-  // larger, so the chooser must keep the SIMD-friendly dense layout.
-  std::vector<TableEntryT<8>> rows(512);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    rows[i].key.v[0] = static_cast<VertexId>(i);
-    rows[i].key.v[1] = static_cast<VertexId>(i + 1);
-    rows[i].key.sig = 3;
-    for (int l = 0; l < 8; ++l) {
-      LaneOps<8>::set_lane(rows[i].cnt, l, 0x100000000ull + i + l);
-    }
-  }
-  ProjTableT<8> t = ProjTableT<8>::from_flat(2, std::move(rows));
-  t.seal(SortOrder::kByV0, 600, LaneSealHint::kStore);
-  EXPECT_FALSE(t.lane_compressed());
-  EXPECT_EQ(t.layout().width, PayloadWidth::kU64);
-  EXPECT_DOUBLE_EQ(t.layout().density(), 1.0);
-  EXPECT_FALSE(lane_layout_profitable(t.layout()));
-}
-
-TEST(LaneCompress, StreamHintNeverPacks) {
-  auto rows = random_rows<8>(2000, 1, 100, 29);
-  ProjTableT<8> t = ProjTableT<8>::from_flat(2, std::move(rows));
-  t.seal(SortOrder::kByV1, kDomain, LaneSealHint::kStream);
-  EXPECT_FALSE(t.lane_compressed());
-  EXPECT_GT(t.layout().rows, 0u);  // density still observed (telemetry)
-  EXPECT_LT(t.layout().density(), 0.5);
-}
-
-TEST(LaneCompress, StreamResealUnpacksStoredTable) {
-  // kStream promises the dense span fast path to the consumer that
-  // follows the seal — even when re-sealing an already packed table
-  // (kByV0 -> kByV0V1 is an order relabel, no re-sort).
-  auto rows = random_rows<8>(3000, 1, 100, 31);
-  ProjTableT<8> t = ProjTableT<8>::from_flat(2, std::move(rows));
-  t.seal(SortOrder::kByV0, kDomain, LaneSealHint::kStore);
-  ASSERT_TRUE(t.lane_compressed());
-  const auto before = t.lane_totals();
-  t.seal(SortOrder::kByV0V1, kDomain, LaneSealHint::kStream);
-  EXPECT_FALSE(t.lane_compressed());
-  EXPECT_EQ(t.lane_totals(), before);
-  EXPECT_NO_THROW((void)t.entries());
-}
 
 // ---------------------------------------------------------------- wire
 
@@ -248,6 +76,11 @@ TEST(LaneCompressWire, RoundTripIsExactAndOrdered) {
   EXPECT_LT(comm.stats().off_rank_bytes(),
             comm.stats().off_rank_entries * comm.stats().entry_bytes);
   EXPECT_GT(comm.stats().wire_lane_density(), 0.0);
+  // Every payload width was on the wire: the u16 / u32 / u64 boundaries
+  // above round-trip exactly.
+  for (int w = 0; w < 3; ++w) {
+    EXPECT_GT(comm.stats().width_rows[w], 0u) << "width code " << w;
+  }
 }
 
 TEST(LaneCompressWire, ScalarWireFormatUnchanged) {
@@ -263,58 +96,6 @@ TEST(LaneCompressWire, ScalarWireFormatUnchanged) {
             sizeof(TableKey) + sizeof(Count));
   ASSERT_EQ(comm.inbox(1).size(), 1u);
   EXPECT_EQ(comm.inbox(1)[0].cnt, 7u);
-}
-
-// ------------------------------------------------------------- accum
-
-TEST(LaneCompressAccum, NarrowMatchesWideIncludingOverflowEscape) {
-  AccumMapT<4> narrow(16, /*compact=*/true);
-  AccumMapT<4> wide(16, /*compact=*/false);
-  ASSERT_TRUE(narrow.narrow());
-  Rng rng(53);
-  for (int i = 0; i < 3000; ++i) {
-    TableKey k;
-    k.v[0] = static_cast<VertexId>(rng.below(64));
-    k.v[1] = static_cast<VertexId>(rng.below(64));
-    k.sig = static_cast<Signature>(rng.below(256));
-    auto c = LaneOps<4>::zero();
-    // Mostly small adds; occasionally a near-u32 add that forces the
-    // accumulated lane past 2^32 - 1 (the escape to wide u64 rows).
-    const Count big = 0xFFFFFF00ull;
-    LaneOps<4>::set_lane(c, static_cast<int>(rng.below(4)),
-                         rng.below(1000) == 0 ? big : 1 + rng.below(9));
-    narrow.add(k, c);
-    wide.add(k, c);
-  }
-  ASSERT_EQ(narrow.size(), wide.size());
-  // take_entries yields wide rows either way; compare via a sealed table.
-  ProjTableT<4> tn = ProjTableT<4>::from_map(2, std::move(narrow));
-  ProjTableT<4> tw = ProjTableT<4>::from_map(2, std::move(wide));
-  tn.seal(SortOrder::kByV0, 64, LaneSealHint::kStream);
-  tw.seal(SortOrder::kByV0, 64, LaneSealHint::kStream);
-  ASSERT_EQ(tn.size(), tw.size());
-  for (std::size_t i = 0; i < tn.size(); ++i) {
-    EXPECT_EQ(tn.entries()[i].key, tw.entries()[i].key);
-    EXPECT_EQ(tn.entries()[i].cnt, tw.entries()[i].cnt);
-  }
-}
-
-TEST(LaneCompressAccum, NarrowEscapesOnFirstOverflow) {
-  AccumMapT<2> map(16, /*compact=*/true);
-  TableKey k;
-  k.v[0] = 1;
-  k.v[1] = 2;
-  auto c = LaneOps<2>::zero();
-  LaneOps<2>::set_lane(c, 0, 0xFFFFFFFFull);
-  map.add(k, c);
-  EXPECT_TRUE(map.narrow());  // exactly at the boundary still fits
-  map.add(k, c);              // sum exceeds u32: must escape, not wrap
-  EXPECT_FALSE(map.narrow());
-  Count seen = 0;
-  map.for_each([&](const TableKey&, const LaneOps<2>::Vec& v) {
-    seen = LaneOps<2>::lane(v, 0);
-  });
-  EXPECT_EQ(seen, 0x1FFFFFFFEull);
 }
 
 // ------------------------------------------------------ masked appends
@@ -829,7 +610,7 @@ merge_bucket_rows(const ColoringBatch& chi, VertexId u, Count mag,
 /// identical emission sequence (keys, counts, order) for the given width
 /// pairing and live-lane shapes.
 template <int B, typename WP, typename WM>
-void run_packed_merge_parity(std::uint64_t seed, Count pmag, Count mmag,
+void run_packed_kernel_parity(std::uint64_t seed, Count pmag, Count mmag,
                              LaneMask plus_lanes, LaneMask minus_lanes,
                              bool expect_emissions) {
   MergeCx<B> f(seed);
@@ -867,22 +648,22 @@ void run_packed_merge_parity(std::uint64_t seed, Count pmag, Count mmag,
 }
 
 TEST(PackedMerge, KernelMatchesDenseU16xU16) {
-  run_packed_merge_parity<8, std::uint16_t, std::uint16_t>(
+  run_packed_kernel_parity<8, std::uint16_t, std::uint16_t>(
       301, 900, 900, 0xFF, 0xFF, true);
-  run_packed_merge_parity<4, std::uint16_t, std::uint16_t>(
+  run_packed_kernel_parity<4, std::uint16_t, std::uint16_t>(
       302, 900, 900, 0xF, 0xF, true);
-  run_packed_merge_parity<2, std::uint16_t, std::uint16_t>(
+  run_packed_kernel_parity<2, std::uint16_t, std::uint16_t>(
       303, 900, 900, 0x3, 0x3, true);
 }
 
 TEST(PackedMerge, KernelMatchesDenseMixedWidths) {
   // u16 x u32 both ways, and u32 x u32 with near-boundary counts whose
   // products stress the no-wrap claim (0xFFFFFFFF^2 < 2^64).
-  run_packed_merge_parity<8, std::uint16_t, std::uint32_t>(
+  run_packed_kernel_parity<8, std::uint16_t, std::uint32_t>(
       311, 0xFFFF, 0xFFFFFFFFull, 0xFF, 0xFF, true);
-  run_packed_merge_parity<8, std::uint32_t, std::uint16_t>(
+  run_packed_kernel_parity<8, std::uint32_t, std::uint16_t>(
       312, 0xFFFFFFFFull, 0xFFFF, 0xFF, 0xFF, true);
-  run_packed_merge_parity<8, std::uint32_t, std::uint32_t>(
+  run_packed_kernel_parity<8, std::uint32_t, std::uint32_t>(
       313, 0xFFFFFFFFull, 0xFFFFFFFFull, 0xFF, 0xFF, true);
 }
 
@@ -890,15 +671,17 @@ TEST(PackedMerge, DisjointLiveLanesEmitNothingOnBothPaths) {
   // Plus rows live only in the low half-lanes, minus rows only in the
   // high half: every pair fails the live-lane intersection, so both
   // kernels must emit nothing (and agree on that).
-  run_packed_merge_parity<8, std::uint16_t, std::uint16_t>(
+  run_packed_kernel_parity<8, std::uint16_t, std::uint16_t>(
       321, 900, 900, 0x0F, 0xF0, false);
-  run_packed_merge_parity<4, std::uint16_t, std::uint16_t>(
+  run_packed_kernel_parity<4, std::uint16_t, std::uint16_t>(
       322, 900, 900, 0x3, 0xC, false);
 }
 
-/// merge_halves with packed_merge toggled must reach the same sink —
-/// `wide_escape` poisons the plus half with an unpackable key first, so
-/// the packed run exercises the dense-fallback dispatch instead.
+/// merge_halves over a from_packed (narrow) build of the halves must
+/// reach the same sink as over a from_flat (dense) build of the same
+/// rows — `wide_escape` poisons the plus half with an unpackable key
+/// first, so the narrow build exercises the mixed-layout dispatch
+/// (narrow minus, dense plus) instead.
 template <int B>
 void run_merge_halves_parity(std::uint64_t seed, bool wide_escape) {
   using Vec = typename LaneOps<B>::Vec;
@@ -933,16 +716,28 @@ void run_merge_halves_parity(std::uint64_t seed, bool wide_escape) {
                                    std::array<Count, B>>>,
              2>
       results;
+  auto build = [](const std::vector<std::pair<TableKey, Vec>>& rows,
+                  bool packed) {
+    if (!packed) {
+      std::vector<TableEntryT<B>> dense;
+      for (const auto& [k, c] : rows) dense.push_back({k, c});
+      return ProjTableT<B>::from_flat(2, std::move(dense));
+    }
+    FlatRowsT<B> f;
+    for (const auto& [k, c] : rows) f.append(k, c);
+    return ProjTableT<B>::from_packed(2, std::move(f));
+  };
   for (const bool packed : {false, true}) {
     MergeCx<B> f(seed);
-    f.cx.opts.packed_merge = packed;
-    FlatRowsT<B> pf, mf;
-    for (const auto& [k, c] : prows) pf.append(k, c);
-    for (const auto& [k, c] : mrows) mf.append(k, c);
-    ProjTableT<B> plus = ProjTableT<B>::from_packed(2, std::move(pf));
-    ProjTableT<B> minus = ProjTableT<B>::from_packed(2, std::move(mf));
+    ProjTableT<B> plus = build(prows, packed);
+    ProjTableT<B> minus = build(mrows, packed);
     AccumMapT<B> sink(16, true);
     merge_halves<B>(f.cx, plus, minus, spec, sink);
+    // The dense build never reaches the packed kernel; the narrow build
+    // keeps the minus half narrow (and the plus half too, unless
+    // poisoned).
+    EXPECT_EQ(minus.flat_storage() != nullptr, packed);
+    EXPECT_EQ(plus.flat_storage() != nullptr, packed && !wide_escape);
     auto& out = results[packed ? 1 : 0];
     sink.for_each([&](const TableKey& k, const Vec& c) {
       std::array<Count, B> cs{};
@@ -970,15 +765,17 @@ TEST(PackedMerge, MergeHalvesWideEscapeFallsBackIdentically) {
 
 TEST(PackedMergeEngine, SessionAgreesWithDenseMergeLaneForLane) {
   // Whole-pipeline cross-check on merge-heavy (cycle) queries: per-lane
-  // colorful counts cannot depend on the merge path taken.
+  // colorful counts cannot depend on the merge path taken. The dense
+  // reference (lane_compress off) never builds narrow halves, so every
+  // bucket pair goes through the dense merge_bucket.
   const CsrGraph g = erdos_renyi(60, 260, 35);
   std::vector<std::uint64_t> seeds{7300, 7301, 7302, 7303,
                                    7304, 7305, 7306, 7307};
   for (const QueryGraph& q : {q_cycle(5), q_cycle(6), q_dros()}) {
     ExecOptions on;
-    on.packed_merge = true;
+    on.lane_compress = true;
     ExecOptions off;
-    off.packed_merge = false;
+    off.lane_compress = false;
     CountingSession son(g, q, make_plan(q), on);
     CountingSession soff(g, q, make_plan(q), off);
     const ExecStats a = son.count_colorful_seeded(
@@ -988,6 +785,101 @@ TEST(PackedMergeEngine, SessionAgreesWithDenseMergeLaneForLane) {
     for (int l = 0; l < 8; ++l) {
       EXPECT_EQ(a.colorful_lane[l], b.colorful_lane[l])
           << q.name() << " lane " << l;
+    }
+  }
+}
+
+// ------------------------------------------------------- stored tables
+
+/// The invariant the joins rely on when they probe a stored child table
+/// through group(): the table is dense (entries() does not throw), and
+/// group(0, v) returns exactly the rows a for_each_entry scan finds with
+/// slot 0 equal to v, in table order.
+template <int B>
+void expect_dense_probe_matches_scan(const ProjTableT<B>& t, VertexId n,
+                                     const char* what) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(t.flat_storage(), nullptr);
+  ASSERT_NO_THROW((void)t.entries());
+  EXPECT_EQ(t.entries().size(), t.size());
+  std::map<VertexId, std::vector<TableEntryT<B>>> scan;
+  t.for_each_entry([&](const TableEntryT<B>& e) {
+    scan[e.key.v[0]].push_back(e);
+  });
+  std::size_t seen = 0;
+  for (VertexId v = 0; v < n + 2; ++v) {
+    std::span<const TableEntryT<B>> got;
+    ASSERT_NO_THROW(got = t.group(0, v)) << "v " << v;
+    const auto it = scan.find(v);
+    const std::size_t want = it == scan.end() ? 0 : it->second.size();
+    ASSERT_EQ(got.size(), want) << "v " << v;
+    for (std::size_t i = 0; i < want; ++i) {
+      EXPECT_EQ(got[i].key, it->second[i].key) << "v " << v;
+      EXPECT_EQ(got[i].cnt, it->second[i].cnt) << "v " << v;
+    }
+    seen += want;
+  }
+  EXPECT_EQ(seen, t.size());
+}
+
+TEST(StoredTables, StayDenseAfterStoreTransposeAndRestore) {
+  constexpr int B = 8;
+  const VertexId n = 64;
+  MergeCx<B> f(341, n);
+  // Block results the way the engine builds them from narrow path
+  // tables: a cycle block's merge sink (binary) and a leaf block's
+  // aggregation (unary), both through from_map.
+  ProjTableT<B> plus = init_path_from_graph<B>(f.cx, ExtendOpts{});
+  ProjTableT<B> minus = init_path_from_graph<B>(f.cx, ExtendOpts{});
+  ASSERT_NE(plus.flat_storage(), nullptr);
+  MergeSpec spec;
+  spec.out_arity = 2;
+  spec.out[0] = {0, 0};
+  spec.out[1] = {1, 1};
+  AccumMapT<B> sink(16, true);
+  merge_halves<B>(f.cx, plus, minus, spec, sink);
+  ASSERT_FALSE(sink.empty());
+  ProjTableT<B> binary = ProjTableT<B>::from_map(2, std::move(sink));
+  ProjTableT<B> unary = aggregate<B>(f.cx, plus, 1);
+  ASSERT_FALSE(unary.empty());
+
+  TablePoolT<B> pool(2, n);
+  pool.store(0, std::move(binary));
+  pool.store(1, std::move(unary));
+  expect_dense_probe_matches_scan<B>(pool.get(0), n, "stored binary");
+  expect_dense_probe_matches_scan<B>(pool.get(1), n, "stored unary");
+  expect_dense_probe_matches_scan<B>(pool.oriented(0, true), n,
+                                     "transposed binary");
+
+  // Checkpoint restore: DistPool::restore decodes each shard image and
+  // rebuilds the table with from_shard_rows, sealed kByV0.
+  const ProjTableT<B>& stored = pool.get(0);
+  const std::uint32_t ranks = 3;
+  const BlockPartition part(n, ranks);
+  std::vector<std::vector<TableEntryT<B>>> shard_rows(ranks);
+  stored.for_each_entry([&](const TableEntryT<B>& e) {
+    shard_rows[part.owner(e.key.v[0])].push_back(e);
+  });
+  const DistTableT<B> original = DistTableT<B>::from_shard_rows(
+      2, 0, std::move(shard_rows), SortOrder::kByV0, n);
+  std::vector<std::vector<TableEntryT<B>>> decoded;
+  for (std::uint32_t r = 0; r < ranks; ++r) {
+    decoded.push_back(
+        checkpoint_decode_shard<B>(checkpoint_encode_shard<B>(
+            original.shard(r))));
+  }
+  const DistTableT<B> restored = DistTableT<B>::from_shard_rows(
+      2, 0, std::move(decoded), SortOrder::kByV0, n);
+  ASSERT_EQ(restored.num_shards(), ranks);
+  for (std::uint32_t r = 0; r < ranks; ++r) {
+    expect_dense_probe_matches_scan<B>(restored.shard(r), n,
+                                       "restored shard");
+    const auto want = original.shard(r).entries();
+    const auto got = restored.shard(r).entries();
+    ASSERT_EQ(got.size(), want.size()) << "shard " << r;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].key, want[i].key) << "shard " << r << " row " << i;
+      EXPECT_EQ(got[i].cnt, want[i].cnt) << "shard " << r << " row " << i;
     }
   }
 }
@@ -1013,9 +905,10 @@ TEST(LaneCompressEngine, CompressedAndDenseRunsAgreeLaneForLane) {
       EXPECT_EQ(a.colorful_lane[l], b.colorful_lane[l])
           << q.name() << " lane " << l;
     }
-    // The compressed run actually packed something (child tables exist
-    // for these queries) and observed its density.
+    // Both runs observed lane density; only the compressed run kept
+    // narrow flat tables.
     EXPECT_GT(a.lanes.rows, 0u);
+    EXPECT_GT(a.lanes.rows_packed, 0u);
     EXPECT_EQ(b.lanes.rows_packed, 0u);
   }
 }
