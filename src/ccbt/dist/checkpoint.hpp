@@ -4,7 +4,10 @@
 // A checkpoint is a byte-level snapshot of the sealed-shard state that
 // persists across supersteps: every child-block table the DistPool has
 // stored so far, plus the position (next block, transport superstep) the
-// engine replays from. Shard images reuse the row wire encoding
+// engine replays from. A checkpoint taken between the split passes of a
+// cycle block also holds that block's per-rank merge sinks and the next
+// split to run, so a one-block plan does not restart from scratch. Shard
+// and sink images reuse the row wire encoding
 // (table/lane_payload.hpp) — the same per-row
 // [key | mask | width | packed counts] bytes the transport sends — so
 // checkpoint size tracks true lane density and the encoder/decoder pair
@@ -15,7 +18,9 @@
 // iterates the sealed row order and keys are unique, so the decoded rows
 // are already in the dense seal's full-key order: a restored table is
 // bit-identical to the one checkpointed, the property behind the
-// "replayed run equals fault-free run" guarantee.
+// "replayed run equals fault-free run" guarantee. Sink images keep the
+// map's insertion order, and re-adding the rows in that order rebuilds a
+// map whose later inserts land exactly as in the fault-free run.
 //
 // Integrity: every shard image carries a magic word and its row count;
 // truncated, oversized, or misparsed images throw CheckpointCorrupt
@@ -27,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "ccbt/table/accum_map.hpp"
 #include "ccbt/table/lane_payload.hpp"
 #include "ccbt/table/proj_table.hpp"
 #include "ccbt/util/error.hpp"
@@ -35,24 +41,42 @@ namespace ccbt {
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x54504B43u;  // "CKPT" LE
 
-/// Serialize one sealed shard: [magic u32][rows u64][wire-encoded rows].
-template <int B>
-std::vector<std::uint8_t> checkpoint_encode_shard(
-    const ProjTableT<B>& shard) {
+/// Serialize `rows` rows, visited in order by `for_each`:
+/// [magic u32][rows u64][wire-encoded rows].
+template <int B, typename ForEach>
+std::vector<std::uint8_t> checkpoint_encode_rows(std::uint64_t rows,
+                                                 ForEach&& for_each) {
   std::vector<std::uint8_t> out;
   out.reserve(sizeof(std::uint32_t) + sizeof(std::uint64_t) +
-              shard.size() * (kWireKeyBytes + 2 + sizeof(Count)));
+              rows * (kWireKeyBytes + 2 + sizeof(Count)));
   out.resize(sizeof(std::uint32_t) + sizeof(std::uint64_t));
   std::memcpy(out.data(), &kCheckpointMagic, sizeof(std::uint32_t));
-  const std::uint64_t rows = shard.size();
   std::memcpy(out.data() + sizeof(std::uint32_t), &rows,
               sizeof(std::uint64_t));
-  shard.for_each_entry(
-      [&](const TableEntryT<B>& e) { wire_encode<B>(e, out); });
+  for_each([&](const TableEntryT<B>& e) { wire_encode<B>(e, out); });
   return out;
 }
 
-/// Decode a shard image back into its row sequence (sealed order).
+/// Serialize one sealed shard in its sealed row order.
+template <int B>
+std::vector<std::uint8_t> checkpoint_encode_shard(
+    const ProjTableT<B>& shard) {
+  return checkpoint_encode_rows<B>(
+      shard.size(), [&](auto&& visit) { shard.for_each_entry(visit); });
+}
+
+/// Serialize one hash sink in its insertion order.
+template <int B>
+std::vector<std::uint8_t> checkpoint_encode_sink(const AccumMapT<B>& sink) {
+  return checkpoint_encode_rows<B>(sink.size(), [&](auto&& visit) {
+    sink.for_each([&](const TableKey& key, const auto& cnt) {
+      visit(TableEntryT<B>{key, cnt});
+    });
+  });
+}
+
+/// Decode a shard or sink image back into its row sequence, in the order
+/// it was encoded.
 /// Throws CheckpointCorrupt on any framing violation.
 template <int B>
 std::vector<TableEntryT<B>> checkpoint_decode_shard(
@@ -104,7 +128,7 @@ std::vector<TableEntryT<B>> checkpoint_decode_shard(
   return out;
 }
 
-/// One stored table's snapshot plus the replay position.
+/// The stored tables' snapshots plus the replay position.
 template <int B>
 struct CheckpointImageT {
   struct TableImage {
@@ -118,12 +142,34 @@ struct CheckpointImageT {
   std::size_t next_block = 0;    // first block to (re-)execute on restore
   std::uint64_t supersteps = 0;  // transport position when taken
 
+  // Inside a cycle block (next_split > 0): the first split pass to run on
+  // restore and one merge-sink image per rank.
+  std::size_t next_split = 0;
+  std::vector<std::vector<std::uint8_t>> sinks;
+
   std::uint64_t bytes() const {
     std::uint64_t sum = 0;
     for (const TableImage& t : tables) {
       for (const auto& s : t.shards) sum += s.size();
     }
+    for (const auto& s : sinks) sum += s.size();
     return sum;
+  }
+
+  /// Rebuild the per-rank merge sinks (empty ones at a block boundary).
+  std::vector<AccumMapT<B>> restore_sinks(std::uint32_t ranks) const {
+    std::vector<AccumMapT<B>> out(ranks);
+    if (sinks.empty()) return out;
+    if (sinks.size() != ranks) {
+      throw CheckpointCorrupt("checkpoint sink images do not match the " +
+                              std::to_string(ranks) + " ranks");
+    }
+    for (std::uint32_t r = 0; r < ranks; ++r) {
+      for (const TableEntryT<B>& e : checkpoint_decode_shard<B>(sinks[r])) {
+        out[r].add(e.key, e.cnt);
+      }
+    }
+    return out;
   }
 };
 

@@ -440,13 +440,22 @@ DistTableT<B> d_build_path(Dx<B>& dx, const Block& blk, DistPool<B>& pool,
   return table;
 }
 
-template <int B>
-DistTableT<B> d_solve_cycle(Dx<B>& dx, const Block& blk, DistPool<B>& pool) {
-  std::vector<AccumMapT<B>> sinks(dx.ranks());
-  for (const SplitPlan& plan : splits_for(blk, dx.cx.opts.algo)) {
+/// Run a cycle block's split passes from `first` on, merging into
+/// `sinks` (non-empty only when resuming from a checkpoint taken inside
+/// the block). `after_split(next, sinks)` runs once each pass's merge has
+/// landed, which is where the caller may checkpoint.
+template <int B, typename AfterSplit>
+DistTableT<B> d_solve_cycle(Dx<B>& dx, const Block& blk, DistPool<B>& pool,
+                            std::size_t first,
+                            std::vector<AccumMapT<B>> sinks,
+                            AfterSplit&& after_split) {
+  const std::vector<SplitPlan> splits = splits_for(blk, dx.cx.opts.algo);
+  for (std::size_t s = first; s < splits.size(); ++s) {
+    const SplitPlan& plan = splits[s];
     DistTableT<B> plus = d_build_path(dx, blk, pool, plan.plus);
     DistTableT<B> minus = d_build_path(dx, blk, pool, plan.minus);
     d_merge_halves(dx, plus, minus, plan.merge, sinks);
+    after_split(s + 1, sinks);
   }
   return DistTableT<B>::from_maps(blk.boundary_count(), /*home_slot=*/0,
                                   std::move(sinks));
@@ -518,11 +527,29 @@ DistStats run_plan_distributed_impl(const CsrGraph& g, const DecompTree& tree,
   // checkpoint (next_block 0): with checkpointing disabled, a replay
   // restarts the whole run. A retryable failure inside block i (the
   // transport exhausted its retries, or an injected allocation failure)
-  // rolls the pool back to `ckpt` and resumes from ckpt.next_block; the
-  // replayed blocks recompute against fresh fault rolls. Non-retryable
-  // errors (BudgetExceeded, malformed plans) propagate unchanged.
+  // rolls the pool back to `ckpt` and resumes from ckpt.next_block (and,
+  // for a checkpoint taken between a cycle block's split passes, from
+  // ckpt.next_split with the saved merge sinks); the replayed work
+  // recomputes against fresh fault rolls. Non-retryable errors
+  // (BudgetExceeded, malformed plans) propagate unchanged.
   CheckpointImageT<B> ckpt;
   std::uint32_t replays_left = opts.dist.max_replays;
+  auto checkpoint_due = [&] {
+    return opts.dist.checkpoint_interval > 0 &&
+           comm.stats().supersteps - ckpt.supersteps >=
+               opts.dist.checkpoint_interval;
+  };
+  auto take_checkpoint = [&](std::size_t next_block, std::size_t next_split,
+                             const std::vector<AccumMapT<B>>& sinks) {
+    ckpt = pool.checkpoint(next_block, comm.stats().supersteps);
+    ckpt.next_split = next_split;
+    for (const AccumMapT<B>& sink : sinks) {
+      ckpt.sinks.push_back(checkpoint_encode_sink<B>(sink));
+    }
+    FaultStats& fs = faults.stats();
+    ++fs.checkpoints_taken;
+    fs.checkpoint_bytes += ckpt.bytes();
+  };
   std::size_t i = 0;
   bool done = false;
   while (!done && i < tree.blocks.size()) {
@@ -550,9 +577,20 @@ DistStats run_plan_distributed_impl(const CsrGraph& g, const DecompTree& tree,
         continue;
       }
 
-      DistTableT<B> table = (blk.kind == BlockKind::kLeafEdge)
-                                ? d_solve_leaf_edge(dx, blk, pool)
-                                : d_solve_cycle(dx, blk, pool);
+      DistTableT<B> table;
+      if (blk.kind == BlockKind::kLeafEdge) {
+        table = d_solve_leaf_edge(dx, blk, pool);
+      } else {
+        const bool resume = ckpt.next_block == i;
+        table = d_solve_cycle(
+            dx, blk, pool, resume ? ckpt.next_split : 0,
+            resume ? ckpt.restore_sinks(ranks)
+                   : std::vector<AccumMapT<B>>(ranks),
+            [&](std::size_t next_split,
+                const std::vector<AccumMapT<B>>& sinks) {
+              if (checkpoint_due()) take_checkpoint(i, next_split, sinks);
+            });
+      }
       if (is_root) {
         record_root(comm.allreduce_sum_lanes(table.shard_lane_totals()));
         done = true;
@@ -564,14 +602,7 @@ DistStats run_plan_distributed_impl(const CsrGraph& g, const DecompTree& tree,
         cx.note_lanes(stored.shard(r).layout());
       }
       ++i;
-      if (opts.dist.checkpoint_interval > 0 &&
-          comm.stats().supersteps - ckpt.supersteps >=
-              opts.dist.checkpoint_interval) {
-        ckpt = pool.checkpoint(i, comm.stats().supersteps);
-        FaultStats& fs = faults.stats();
-        ++fs.checkpoints_taken;
-        fs.checkpoint_bytes += ckpt.bytes();
-      }
+      if (checkpoint_due()) take_checkpoint(i, 0, {});
     } catch (const Error& e) {
       if (!e.retryable()) throw;
       if (replays_left == 0) {

@@ -16,7 +16,8 @@
 // duplicate, or delay superstep messages, stall ranks, and fail table
 // allocations. Recovery is layered — the transport retransmits missing
 // messages with backoff (dist/comm.hpp), the engine snapshots sealed
-// pool state at checkpoint_interval superstep boundaries and replays
+// pool state (plus a cycle block's partial merge sinks, between its split
+// passes) at checkpoint_interval superstep boundaries and replays
 // from the last snapshot when a superstep cannot be recovered
 // (dist/checkpoint.hpp), and a run that exhausts both budgets throws a
 // typed retryable error the estimator turns into a dropped trial. A

@@ -87,8 +87,9 @@ struct DistOptions {
 
   /// Snapshot the sealed-shard state once at least this many transport
   /// supersteps passed since the last snapshot (checked at block
-  /// boundaries). 0 disables periodic checkpoints; replay then restarts
-  /// from the implicit initial (empty) checkpoint.
+  /// boundaries and between a cycle block's split passes). 0 disables
+  /// periodic checkpoints; replay then restarts from the implicit initial
+  /// (empty) checkpoint.
   std::uint64_t checkpoint_interval = 0;
 
   /// Per-superstep exchange-acknowledgment deadline: a stalled rank is

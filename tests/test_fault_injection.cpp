@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <span>
 #include <vector>
 
 #include "ccbt/core/estimator.hpp"
@@ -214,6 +215,33 @@ TEST(Checkpoint, CorruptionIsDetected) {
   EXPECT_THROW(checkpoint_decode_shard<4>(bad_mask), CheckpointCorrupt);
 }
 
+TEST(Checkpoint, SinkRoundtripKeepsInsertionOrder) {
+  AccumMapT<4> sink;
+  for (int i = 0; i < 40; ++i) {
+    TableKey key;
+    key.v[0] = static_cast<VertexId>((i * 7) % 23);
+    key.v[1] = static_cast<VertexId>(i % 5);
+    LaneOps<4>::Vec cnt{};
+    cnt[i % 4] = static_cast<Count>(i + 1);
+    sink.add(key, cnt);  // repeated keys accumulate in place
+  }
+  CheckpointImageT<4> img;
+  img.sinks.push_back(checkpoint_encode_sink<4>(sink));
+  img.sinks.push_back(checkpoint_encode_sink<4>(AccumMapT<4>()));
+  const std::vector<AccumMapT<4>> back = img.restore_sinks(2);
+  ASSERT_EQ(back.size(), 2u);
+  EXPECT_TRUE(back[1].empty());
+  const auto& want = sink.entries();
+  const auto& got = back[0].entries();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].key.v[0], want[i].key.v[0]) << "row " << i;
+    EXPECT_EQ(got[i].key.v[1], want[i].key.v[1]) << "row " << i;
+    EXPECT_EQ(got[i].cnt, want[i].cnt) << "row " << i;
+  }
+  EXPECT_THROW(img.restore_sinks(3), CheckpointCorrupt);
+}
+
 // ---------------------------------------------------------------------
 // The headline property: a faulty run that recovers (retransmit and/or
 // replay) reproduces the fault-free per-lane counts bit for bit.
@@ -297,6 +325,41 @@ TEST(FaultRecovery, CheckpointReplayRecoversAllocFailures) {
     }
   }
   EXPECT_GT(total_replays, 0u);
+}
+
+TEST(FaultRecovery, CycleBlockReplayResumesInsideTheBlock) {
+  // A differential-fuzz config (CCBT_DIFF_SEED=16, config 16007) whose
+  // fault seed puts 9 allocation failures among the first 145 allocation
+  // rolls. C5 is a single cycle block, so checkpoints taken only at block
+  // boundaries never fired: every replay restarted the plan, and the run
+  // needed 9 replays against the budget of 8. Checkpoints between the
+  // split passes let the replays resume inside the block.
+  const CsrGraph g = erdos_renyi(52, 115, 16007 * 13 + 5);
+  const QueryGraph q = q_cycle(5);
+  const Plan plan = make_plan(q);
+  ASSERT_EQ(plan.tree.blocks.size(), 1u);
+  std::vector<Coloring> lanes;
+  for (int l = 0; l < 4; ++l) {
+    lanes.emplace_back(g.num_vertices(), q.num_nodes(), 16007 * 100 + 40 + l);
+  }
+  const ColoringBatch batch{std::span<const Coloring>(lanes)};
+  const DistStats clean = run_plan_distributed(g, plan.tree, batch, 2, {});
+
+  ExecOptions opts;
+  opts.dist.faults.seed = 16007 * 31 + 7;
+  opts.dist.faults.drop_rate = 0.01;
+  opts.dist.faults.dup_rate = 0.005;
+  opts.dist.faults.delay_rate = 0.005;
+  opts.dist.faults.alloc_fail_rate = 0.01;
+  opts.dist.max_retries = 8;
+  opts.dist.max_replays = 8;
+  opts.dist.checkpoint_interval = 4;
+  const DistStats faulty = run_plan_distributed(g, plan.tree, batch, 2, opts);
+  for (int l = 0; l < 4; ++l) {
+    EXPECT_EQ(faulty.colorful_lane[l], clean.colorful_lane[l]) << "lane " << l;
+  }
+  EXPECT_GT(faulty.faults.replays, 0u);
+  EXPECT_GT(faulty.faults.checkpoints_taken, 0u);
 }
 
 TEST(FaultRecovery, SameSeedSameCounters) {

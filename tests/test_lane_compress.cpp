@@ -763,32 +763,6 @@ TEST(PackedMerge, MergeHalvesWideEscapeFallsBackIdentically) {
   run_merge_halves_parity<8>(333, /*wide_escape=*/true);
 }
 
-TEST(PackedMergeEngine, SessionAgreesWithDenseMergeLaneForLane) {
-  // Whole-pipeline cross-check on merge-heavy (cycle) queries: per-lane
-  // colorful counts cannot depend on the merge path taken. The dense
-  // reference (lane_compress off) never builds narrow halves, so every
-  // bucket pair goes through the dense merge_bucket.
-  const CsrGraph g = erdos_renyi(60, 260, 35);
-  std::vector<std::uint64_t> seeds{7300, 7301, 7302, 7303,
-                                   7304, 7305, 7306, 7307};
-  for (const QueryGraph& q : {q_cycle(5), q_cycle(6), q_dros()}) {
-    ExecOptions on;
-    on.lane_compress = true;
-    ExecOptions off;
-    off.lane_compress = false;
-    CountingSession son(g, q, make_plan(q), on);
-    CountingSession soff(g, q, make_plan(q), off);
-    const ExecStats a = son.count_colorful_seeded(
-        std::span<const std::uint64_t>(seeds.data(), 8));
-    const ExecStats b = soff.count_colorful_seeded(
-        std::span<const std::uint64_t>(seeds.data(), 8));
-    for (int l = 0; l < 8; ++l) {
-      EXPECT_EQ(a.colorful_lane[l], b.colorful_lane[l])
-          << q.name() << " lane " << l;
-    }
-  }
-}
-
 // ------------------------------------------------------- stored tables
 
 /// The invariant the joins rely on when they probe a stored child table
@@ -887,8 +861,12 @@ TEST(StoredTables, StayDenseAfterStoreTransposeAndRestore) {
 // -------------------------------------------------------- end to end
 
 TEST(LaneCompressEngine, CompressedAndDenseRunsAgreeLaneForLane) {
+  // Per-lane counts cannot depend on the layout. The dense run never
+  // builds narrow halves, so on the cycle queries every merge bucket
+  // pair goes through merge_bucket instead of merge_bucket_packed.
   const CsrGraph g = erdos_renyi(60, 260, 9);
-  for (const QueryGraph& q : {q_glet2(), q_wiki(), q_cycle(5)}) {
+  for (const QueryGraph& q :
+       {q_glet2(), q_wiki(), q_cycle(5), q_cycle(6), q_dros()}) {
     ExecOptions on;
     on.lane_compress = true;
     ExecOptions off;
