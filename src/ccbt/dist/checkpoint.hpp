@@ -143,7 +143,9 @@ struct CheckpointImageT {
   std::uint64_t supersteps = 0;  // transport position when taken
 
   // Inside a cycle block (next_split > 0): the first split pass to run on
-  // restore and one merge-sink image per rank.
+  // restore, as an index into schedule_for's order, and one merge-sink
+  // image per rank. Half-path tables are not captured; the resumed block
+  // rebuilds the ones its remaining splits use.
   std::size_t next_split = 0;
   std::vector<std::vector<std::uint8_t>> sinks;
 

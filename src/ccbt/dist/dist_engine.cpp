@@ -36,6 +36,7 @@ struct Dx {
   std::size_t budget;
   VertexId domain;  // data-graph vertex count (bucket-index domain)
   FaultPlan* faults = nullptr;  // nullptr = no injection
+  PathCounts paths;             // cycle blocks' half-path builds / reuses
 
   const BlockPartition& part() const { return cx.part; }
   std::uint32_t ranks() const { return comm.num_ranks(); }
@@ -388,74 +389,67 @@ class DistPool {
   StageWall* stage_ = nullptr;
 };
 
+/// The distributed interpreter of path_steps (split_plan.hpp).
 template <int B>
-DistTableT<B> d_build_path(Dx<B>& dx, const Block& blk, DistPool<B>& pool,
-                           const PathSpec& spec) {
-  const std::size_t steps = spec.positions.size();
-  if (steps < 2) {
-    throw Error(ErrorCode::kUnsupportedQuery,
-                "build_path: path needs at least one edge");
-  }
-
-  ExtendOpts init_opts{spec.track_slot_at[1], spec.anchor_higher};
+DistTableT<B> d_build_path(Dx<B>& dx, DistPool<B>& pool,
+                           const std::vector<PathStep>& steps) {
   DistTableT<B> table;
-  {
-    const int e0 = spec.edge_index[0];
-    const int child = blk.edge_child[e0];
-    if (child < 0) {
-      table = d_init_path_from_graph(dx, init_opts);
-    } else {
-      const DistTableT<B>& oriented = pool.oriented(
-          dx, child, needs_transpose(blk, e0, spec.edge_forward[0]));
-      table = d_init_path_from_child(dx, oriented, init_opts);
-    }
-  }
-  if (spec.include_start_annot) {
-    const int child = blk.node_child[spec.positions[0]];
-    if (child >= 0) {
-      table = d_node_join(dx, table, pool.get(child), /*slot=*/0);
-    }
-  }
-
-  for (std::size_t s = 1; s < steps; ++s) {
-    const bool is_end = (s + 1 == steps);
-    if (!is_end || spec.include_end_annot) {
-      const int child = blk.node_child[spec.positions[s]];
-      if (child >= 0) {
-        table = d_node_join(dx, table, pool.get(child), /*slot=*/1);
-      }
-    }
-    if (is_end) break;
-    ExtendOpts opts{spec.track_slot_at[s + 1], spec.anchor_higher};
-    const int e = spec.edge_index[s];
-    const int child = blk.edge_child[e];
-    if (child < 0) {
-      table = d_extend_with_graph(dx, table, opts);
-    } else {
-      const DistTableT<B>& oriented = pool.oriented(
-          dx, child, needs_transpose(blk, e, spec.edge_forward[s]));
-      table = d_extend_with_child(dx, table, oriented, opts);
+  for (const PathStep& st : steps) {
+    const ExtendOpts opts = st.extend_opts();
+    switch (st.op) {
+      case PathStep::Op::kInit:
+        table = st.child < 0
+                    ? d_init_path_from_graph(dx, opts)
+                    : d_init_path_from_child(
+                          dx, pool.oriented(dx, st.child, st.transposed),
+                          opts);
+        break;
+      case PathStep::Op::kNodeJoin:
+        table = d_node_join(dx, table, pool.get(st.child), st.slot);
+        break;
+      case PathStep::Op::kExtend:
+        table = st.child < 0
+                    ? d_extend_with_graph(dx, table, opts)
+                    : d_extend_with_child(
+                          dx, table,
+                          pool.oriented(dx, st.child, st.transposed), opts);
+        break;
     }
   }
   return table;
 }
 
-/// Run a cycle block's split passes from `first` on, merging into
-/// `sinks` (non-empty only when resuming from a checkpoint taken inside
-/// the block). `after_split(next, sinks)` runs once each pass's merge has
-/// landed, which is where the caller may checkpoint.
+/// Run a cycle block's split passes in schedule_for's order from `first`
+/// on, merging into `sinks` (non-empty only when resuming from a
+/// checkpoint taken inside the block). Each distinct half is built at its
+/// first use from `first` on (so a resume rebuilds the live ones) and
+/// freed after its last use. `after_split(next, sinks)` runs once each
+/// pass's merge has landed, which is where the caller may checkpoint.
 template <int B, typename AfterSplit>
 DistTableT<B> d_solve_cycle(Dx<B>& dx, const Block& blk, DistPool<B>& pool,
                             std::size_t first,
                             std::vector<AccumMapT<B>> sinks,
                             AfterSplit&& after_split) {
-  const std::vector<SplitPlan> splits = splits_for(blk, dx.cx.opts.algo);
-  for (std::size_t s = first; s < splits.size(); ++s) {
-    const SplitPlan& plan = splits[s];
-    DistTableT<B> plus = d_build_path(dx, blk, pool, plan.plus);
-    DistTableT<B> minus = d_build_path(dx, blk, pool, plan.minus);
-    d_merge_halves(dx, plus, minus, plan.merge, sinks);
-    after_split(s + 1, sinks);
+  const CycleSchedule sched = schedule_for(blk, dx.cx.opts.algo);
+  std::vector<DistTableT<B>> live(sched.steps.size());
+  std::vector<bool> built(sched.steps.size(), false);
+  for (std::size_t t = first; t < sched.splits.size(); ++t) {
+    for (int id : sched.halves[t]) {
+      if (built[id]) {
+        ++dx.paths.reuses;
+        continue;
+      }
+      live[id] = d_build_path(dx, pool, sched.steps[id]);
+      built[id] = true;
+      ++dx.paths.builds;
+    }
+    const auto [plus, minus] = sched.halves[t];
+    d_merge_halves(dx, live[plus], live[minus], sched.splits[t].merge,
+                   sinks);
+    for (int id : sched.halves[t]) {
+      if (sched.last_use[id] == t) live[id] = DistTableT<B>();
+    }
+    after_split(t + 1, sinks);
   }
   return DistTableT<B>::from_maps(blk.boundary_count(), /*home_slot=*/0,
                                   std::move(sinks));
@@ -512,7 +506,7 @@ DistStats run_plan_distributed_impl(const CsrGraph& g, const DecompTree& tree,
     comm.set_fault_plan(fp, opts.dist.max_retries, opts.dist.backoff_base_ms,
                         opts.dist.deadline_ms);
   }
-  Dx<B> dx{cx, comm, opts.max_table_entries, g.num_vertices(), fp};
+  Dx<B> dx{cx, comm, opts.max_table_entries, g.num_vertices(), fp, {}};
   DistPool<B> pool(tree.blocks.size(), g.num_vertices(), &stats.stage);
 
   stats.lanes_used = batch.lanes();
@@ -620,6 +614,8 @@ DistStats run_plan_distributed_impl(const CsrGraph& g, const DecompTree& tree,
     }
   }
 
+  stats.path_builds = dx.paths.builds;
+  stats.path_reuses = dx.paths.reuses;
   stats.wall_seconds = timer.seconds();
   stats.sim_time = load.sim_time();
   stats.total_ops = load.total_ops();

@@ -46,6 +46,12 @@ struct DistStats {
 
   double wall_seconds = 0.0;
 
+  /// Cycle blocks' half-path tables built, and split halves merged from
+  /// a live table (see ExecStats). A checkpoint resume inside a block
+  /// rebuilds its live halves, so builds may exceed the shared run's.
+  std::uint64_t path_builds = 0;
+  std::uint64_t path_reuses = 0;
+
   // Modeled load — exact parity with the shared engine's ExecStats when
   // run with sim_ranks == ranks.
   double sim_time = 0.0;

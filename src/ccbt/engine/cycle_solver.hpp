@@ -1,6 +1,8 @@
 #pragma once
 // Cycle-block solving (Section 5): PS, PS-EVEN and DB strategies.
 
+#include <vector>
+
 #include "ccbt/decomp/block.hpp"
 #include "ccbt/engine/path_builder.hpp"
 #include "ccbt/engine/split_plan.hpp"
@@ -9,15 +11,31 @@ namespace ccbt {
 
 /// Compute the projection table of a (possibly annotated) cycle block.
 /// Output arity equals the block's boundary count; keys are ordered
-/// (nodes[boundary_pos[0]], nodes[boundary_pos[1]]).
+/// (nodes[boundary_pos[0]], nodes[boundary_pos[1]]). Runs the splits in
+/// schedule_for's order, building each distinct half once and freeing it
+/// after its last use; `counts` tallies the builds and reuses.
 template <int B>
 ProjTableT<B> solve_cycle(const ExecContext& cx, const Block& blk,
-                          TablePoolT<B>& pool) {
+                          TablePoolT<B>& pool, PathCounts& counts) {
+  const CycleSchedule sched = schedule_for(blk, cx.opts.algo);
+  std::vector<ProjTableT<B>> live(sched.steps.size());
+  std::vector<bool> built(sched.steps.size(), false);
   AccumMapT<B> sink(16, cx.opts.compact_accum);
-  for (const SplitPlan& plan : splits_for(blk, cx.opts.algo)) {
-    ProjTableT<B> plus = build_path<B>(cx, blk, pool, plan.plus);
-    ProjTableT<B> minus = build_path<B>(cx, blk, pool, plan.minus);
-    merge_halves<B>(cx, plus, minus, plan.merge, sink);
+  for (std::size_t t = 0; t < sched.splits.size(); ++t) {
+    for (int id : sched.halves[t]) {
+      if (built[id]) {
+        ++counts.reuses;
+        continue;
+      }
+      live[id] = build_path<B>(cx, pool, sched.steps[id]);
+      built[id] = true;
+      ++counts.builds;
+    }
+    const auto [plus, minus] = sched.halves[t];
+    merge_halves<B>(cx, live[plus], live[minus], sched.splits[t].merge, sink);
+    for (int id : sched.halves[t]) {
+      if (sched.last_use[id] == t) live[id] = ProjTableT<B>();
+    }
   }
   // The merge spec emitted exactly the boundary slots, so the accumulated
   // keys already project to the block's boundary images.
@@ -25,12 +43,12 @@ ProjTableT<B> solve_cycle(const ExecContext& cx, const Block& blk,
 }
 
 extern template ProjTableT<1> solve_cycle<1>(const ExecContext&, const Block&,
-                                             TablePoolT<1>&);
+                                             TablePoolT<1>&, PathCounts&);
 extern template ProjTableT<2> solve_cycle<2>(const ExecContext&, const Block&,
-                                             TablePoolT<2>&);
+                                             TablePoolT<2>&, PathCounts&);
 extern template ProjTableT<4> solve_cycle<4>(const ExecContext&, const Block&,
-                                             TablePoolT<4>&);
+                                             TablePoolT<4>&, PathCounts&);
 extern template ProjTableT<8> solve_cycle<8>(const ExecContext&, const Block&,
-                                             TablePoolT<8>&);
+                                             TablePoolT<8>&, PathCounts&);
 
 }  // namespace ccbt

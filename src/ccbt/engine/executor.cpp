@@ -25,6 +25,7 @@ ExecStats run_plan_impl(const ExecContext& outer_cx, const DecompTree& tree) {
   stats.lanes_used = cx.chi.lanes();
   TablePoolT<B> pool(tree.blocks.size(), cx.g.num_vertices(),
                      cx.opts.lane_compress, &stats.stage);
+  PathCounts paths;
 
   auto record_root = [&](const typename LaneOps<B>::Vec& totals) {
     for (int l = 0; l < B; ++l) {
@@ -54,7 +55,7 @@ ExecStats run_plan_impl(const ExecContext& outer_cx, const DecompTree& tree) {
 
     ProjTableT<B> table = (blk.kind == BlockKind::kLeafEdge)
                               ? solve_leaf_edge<B>(cx, blk, pool)
-                              : solve_cycle<B>(cx, blk, pool);
+                              : solve_cycle<B>(cx, blk, pool, paths);
     stats.peak_table_entries =
         std::max(stats.peak_table_entries, table.size());
     if (is_root) {
@@ -65,6 +66,8 @@ ExecStats run_plan_impl(const ExecContext& outer_cx, const DecompTree& tree) {
     cx.note_lanes(pool.get(static_cast<int>(i)).layout());
   }
 
+  stats.path_builds = paths.builds;
+  stats.path_reuses = paths.reuses;
   stats.wall_seconds = timer.seconds();
   if (cx.load != nullptr) {
     stats.sim_time = cx.load->sim_time();

@@ -22,6 +22,11 @@ struct ExecStats {
   double wall_seconds = 0.0;
   std::size_t peak_table_entries = 0;
 
+  /// Cycle blocks' half-path tables: how many were built, and how many
+  /// split halves merged a table already built for an earlier split.
+  std::uint64_t path_builds = 0;
+  std::uint64_t path_reuses = 0;
+
   // Filled when a LoadModel was attached.
   double sim_time = 0.0;
   std::uint64_t total_ops = 0;

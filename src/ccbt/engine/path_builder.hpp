@@ -1,12 +1,6 @@
 #pragma once
-// Generic path-table construction over a cycle block (Fig 7).
-//
-// A PathSpec describes one half of a split cycle: the sequence of node
-// positions from the anchor to the end, which cycle edge is crossed at
-// each step (and in which storage direction), which positions must be
-// *tracked* into extra key slots (interior boundary nodes of the DB
-// configurations), and which of the two shared endpoints' annotations this
-// path owns (P+ owns the end's, P- owns the anchor's — Section 5.2).
+// Generic path-table construction over a cycle block (Fig 7): the
+// shared-memory interpreter of path_steps (split_plan.hpp).
 //
 // Pool and builder are parameterized on the batch width B (the aliases
 // keep the scalar names); the construction sequence itself is coloring
@@ -17,6 +11,7 @@
 #include "ccbt/decomp/block.hpp"
 #include "ccbt/engine/exec_context.hpp"
 #include "ccbt/engine/primitives.hpp"
+#include "ccbt/engine/split_plan.hpp"
 #include "ccbt/table/proj_table.hpp"
 #include "ccbt/util/error.hpp"
 
@@ -78,79 +73,41 @@ class TablePoolT {
 
 using TablePool = TablePoolT<1>;
 
-struct PathSpec {
-  /// Positions (indices into Block::nodes) visited, anchor first.
-  std::vector<int> positions;
-
-  /// edge_index[i] is the block edge crossed between positions[i] and
-  /// positions[i+1]; edge_forward[i] is true when that walk direction
-  /// matches the edge's storage direction nodes[e] -> nodes[e+1].
-  std::vector<int> edge_index;
-  std::vector<bool> edge_forward;
-
-  /// track_slot_at[i] >= 2: record positions[i]'s image in that key slot.
-  std::vector<int> track_slot_at;
-
-  bool include_start_annot = false;  // NodeJoin(anchor) — P- owns it
-  bool include_end_annot = false;    // NodeJoin(end)    — P+ owns it
-  bool anchor_higher = false;        // DB: anchor ≻ every cycle vertex
-};
-
-/// Whether crossing edge `e` in walk direction `forward` needs the child's
-/// transposed table: the child's first boundary must be the node the walk
-/// leaves from. Shared with the distributed engine.
-bool needs_transpose(const Block& blk, int edge, bool forward);
+/// Build a half-path table by running its steps (see path_steps).
+template <int B>
+ProjTableT<B> build_path(const ExecContext& cx, TablePoolT<B>& pool,
+                         const std::vector<PathStep>& steps) {
+  ProjTableT<B> table;
+  for (const PathStep& st : steps) {
+    const ExtendOpts opts = st.extend_opts();
+    switch (st.op) {
+      case PathStep::Op::kInit:
+        table = st.child < 0
+                    ? init_path_from_graph<B>(cx, opts)
+                    : init_path_from_child<B>(
+                          cx, pool.oriented(st.child, st.transposed),
+                          /*flip=*/false, opts);
+        break;
+      case PathStep::Op::kNodeJoin:
+        table = node_join<B>(cx, table, pool.get(st.child), st.slot);
+        break;
+      case PathStep::Op::kExtend:
+        table = st.child < 0
+                    ? extend_with_graph<B>(cx, table, opts)
+                    : extend_with_child<B>(
+                          cx, table, pool.oriented(st.child, st.transposed),
+                          opts);
+        break;
+    }
+  }
+  return table;
+}
 
 /// Build the projection table of one half-cycle path.
 template <int B>
 ProjTableT<B> build_path(const ExecContext& cx, const Block& blk,
                          TablePoolT<B>& pool, const PathSpec& spec) {
-  const std::size_t steps = spec.positions.size();
-  if (steps < 2) throw Error("build_path: path needs at least one edge");
-
-  // --- Initial table: the first edge of the walk.
-  ExtendOpts init_opts{spec.track_slot_at[1], spec.anchor_higher};
-  ProjTableT<B> table;
-  {
-    const int e0 = spec.edge_index[0];
-    const int child = blk.edge_child[e0];
-    if (child < 0) {
-      table = init_path_from_graph<B>(cx, init_opts);
-    } else {
-      const ProjTableT<B>& oriented =
-          pool.oriented(child, needs_transpose(blk, e0, spec.edge_forward[0]));
-      table = init_path_from_child<B>(cx, oriented, /*flip=*/false, init_opts);
-    }
-  }
-  if (spec.include_start_annot) {
-    const int child = blk.node_child[spec.positions[0]];
-    if (child >= 0) {
-      table = node_join<B>(cx, table, pool.get(child), /*slot=*/0);
-    }
-  }
-
-  // --- Walk: NodeJoin at each reached position, then extend (Fig 7).
-  for (std::size_t s = 1; s < steps; ++s) {
-    const bool is_end = (s + 1 == steps);
-    if (!is_end || spec.include_end_annot) {
-      const int child = blk.node_child[spec.positions[s]];
-      if (child >= 0) {
-        table = node_join<B>(cx, table, pool.get(child), /*slot=*/1);
-      }
-    }
-    if (is_end) break;
-    ExtendOpts opts{spec.track_slot_at[s + 1], spec.anchor_higher};
-    const int e = spec.edge_index[s];
-    const int child = blk.edge_child[e];
-    if (child < 0) {
-      table = extend_with_graph<B>(cx, table, opts);
-    } else {
-      const ProjTableT<B>& oriented =
-          pool.oriented(child, needs_transpose(blk, e, spec.edge_forward[s]));
-      table = extend_with_child<B>(cx, table, oriented, opts);
-    }
-  }
-  return table;
+  return build_path<B>(cx, pool, path_steps(blk, spec));
 }
 
 extern template ProjTableT<1> build_path<1>(const ExecContext&, const Block&,
@@ -161,5 +118,13 @@ extern template ProjTableT<4> build_path<4>(const ExecContext&, const Block&,
                                             TablePoolT<4>&, const PathSpec&);
 extern template ProjTableT<8> build_path<8>(const ExecContext&, const Block&,
                                             TablePoolT<8>&, const PathSpec&);
+extern template ProjTableT<1> build_path<1>(
+    const ExecContext&, TablePoolT<1>&, const std::vector<PathStep>&);
+extern template ProjTableT<2> build_path<2>(
+    const ExecContext&, TablePoolT<2>&, const std::vector<PathStep>&);
+extern template ProjTableT<4> build_path<4>(
+    const ExecContext&, TablePoolT<4>&, const std::vector<PathStep>&);
+extern template ProjTableT<8> build_path<8>(
+    const ExecContext&, TablePoolT<8>&, const std::vector<PathStep>&);
 
 }  // namespace ccbt

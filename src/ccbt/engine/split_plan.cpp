@@ -1,8 +1,56 @@
 #include "ccbt/engine/split_plan.hpp"
 
+#include <algorithm>
+#include <utility>
+
 #include "ccbt/util/error.hpp"
 
 namespace ccbt {
+
+bool needs_transpose(const Block& blk, int edge, bool forward) {
+  return forward ? blk.edge_child_flip[edge] : !blk.edge_child_flip[edge];
+}
+
+std::vector<PathStep> path_steps(const Block& blk, const PathSpec& spec) {
+  const std::size_t n = spec.positions.size();
+  if (n < 2) {
+    throw Error(ErrorCode::kUnsupportedQuery,
+                "build_path: path needs at least one edge");
+  }
+  std::vector<PathStep> out;
+  // Cross the walk's i-th edge, tracking the node it reaches.
+  auto cross = [&](PathStep::Op op, std::size_t i) {
+    const int e = spec.edge_index[i];
+    PathStep st;
+    st.op = op;
+    st.child = blk.edge_child[e];
+    st.transposed =
+        st.child >= 0 && needs_transpose(blk, e, spec.edge_forward[i]);
+    st.track_slot = spec.track_slot_at[i + 1];
+    st.anchor_higher = spec.anchor_higher;
+    out.push_back(st);
+  };
+  // NodeJoin the annotation of the walk's i-th position, if it has one.
+  auto join = [&](std::size_t i, int slot) {
+    const int child = blk.node_child[spec.positions[i]];
+    if (child < 0) return;
+    PathStep st;
+    st.op = PathStep::Op::kNodeJoin;
+    st.child = child;
+    st.slot = slot;
+    out.push_back(st);
+  };
+
+  cross(PathStep::Op::kInit, 0);
+  if (spec.include_start_annot) join(0, /*slot=*/0);
+  // Walk: NodeJoin at each reached position, then extend (Fig 7).
+  for (std::size_t i = 1; i < n; ++i) {
+    const bool is_end = (i + 1 == n);
+    if (!is_end || spec.include_end_annot) join(i, /*slot=*/1);
+    if (!is_end) cross(PathStep::Op::kExtend, i);
+  }
+  return out;
+}
 
 SplitPlan make_split(const Block& blk, int s, int e, bool anchor_higher) {
   const int L = blk.length();
@@ -34,8 +82,11 @@ SplitPlan make_split(const Block& blk, int s, int e, bool anchor_higher) {
   plan.minus.track_slot_at.assign(plan.minus.positions.size(), -1);
 
   // Boundary images in the output key, in the block's stored order.
+  // Interior boundaries are tracked in walk order (a walk's first tracked
+  // node takes slot 2, its second slot 3), so walks that visit the same
+  // positions issue the same steps and schedule_for can share them.
   plan.merge.out_arity = blk.boundary_count();
-  int next_slot_plus = 2, next_slot_minus = 2;
+  std::array<std::vector<std::pair<std::size_t, int>>, 2> tracked;
   for (int b = 0; b < blk.boundary_count(); ++b) {
     const int p = blk.boundary_pos[b];
     if (p == s) {
@@ -46,21 +97,28 @@ SplitPlan make_split(const Block& blk, int s, int e, bool anchor_higher) {
       plan.merge.out[b] = {0, 1};
       continue;
     }
-    // Interior: find it on one of the walks and track it.
-    auto locate = [&](PathSpec& spec, int& next_slot, int side) -> bool {
+    // Interior: find it on one of the walks.
+    auto locate = [&](const PathSpec& spec, int side) -> bool {
       for (std::size_t i = 1; i + 1 < spec.positions.size(); ++i) {
         if (spec.positions[i] == p) {
-          spec.track_slot_at[i] = next_slot;
-          plan.merge.out[b] = {side, next_slot};
-          ++next_slot;
+          tracked[side].emplace_back(i, b);
           return true;
         }
       }
       return false;
     };
-    if (!locate(plan.plus, next_slot_plus, 0) &&
-        !locate(plan.minus, next_slot_minus, 1)) {
+    if (!locate(plan.plus, 0) && !locate(plan.minus, 1)) {
       throw Error("make_split: boundary position not on either path");
+    }
+  }
+  for (int side = 0; side < 2; ++side) {
+    PathSpec& spec = side == 0 ? plan.plus : plan.minus;
+    std::sort(tracked[side].begin(), tracked[side].end());
+    int slot = 2;
+    for (const auto& [i, b] : tracked[side]) {
+      spec.track_slot_at[i] = slot;
+      plan.merge.out[b] = {side, slot};
+      ++slot;
     }
   }
   return plan;
@@ -103,6 +161,80 @@ std::vector<SplitPlan> splits_for(const Block& blk, Algo algo) {
     }
   }
   return out;
+}
+
+CycleSchedule schedule_for(const Block& blk, Algo algo) {
+  std::vector<SplitPlan> natural = splits_for(blk, algo);
+  const std::size_t n = natural.size();
+
+  // Number the distinct step lists in splits_for order.
+  std::vector<std::vector<PathStep>> lists;
+  auto id_of = [&](const PathSpec& spec) {
+    std::vector<PathStep> steps = path_steps(blk, spec);
+    const auto it = std::find(lists.begin(), lists.end(), steps);
+    if (it != lists.end()) return static_cast<int>(it - lists.begin());
+    lists.push_back(std::move(steps));
+    return static_cast<int>(lists.size() - 1);
+  };
+  std::vector<std::array<int, 2>> ids(n);
+  std::vector<int> uses_left;
+  for (std::size_t i = 0; i < n; ++i) {
+    ids[i] = {id_of(natural[i].plus), id_of(natural[i].minus)};
+    uses_left.resize(lists.size(), 0);
+    ++uses_left[ids[i][0]];
+    ++uses_left[ids[i][1]];
+  }
+
+  // Greedy order: run next the split with the most halves already live,
+  // so shared halves are merged while built and freed early.
+  CycleSchedule out;
+  std::vector<bool> live(lists.size(), false);
+  std::vector<bool> done(n, false);
+  std::vector<int> renumber(lists.size(), -1);
+  for (std::size_t t = 0; t < n; ++t) {
+    std::size_t best = n;
+    int best_live = -1;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (done[i]) continue;
+      const int l = live[ids[i][0]] + live[ids[i][1]];
+      if (l > best_live) {
+        best = i;
+        best_live = l;
+      }
+    }
+    done[best] = true;
+    std::array<int, 2> halves{};
+    for (int side = 0; side < 2; ++side) {
+      const int id = ids[best][side];
+      if (renumber[id] < 0) {
+        renumber[id] = static_cast<int>(out.steps.size());
+        out.steps.push_back(lists[id]);
+        out.last_use.push_back(t);
+      }
+      halves[side] = renumber[id];
+      out.last_use[renumber[id]] = t;
+      live[id] = --uses_left[id] > 0;
+    }
+    out.splits.push_back(std::move(natural[best]));
+    out.halves.push_back(halves);
+  }
+  return out;
+}
+
+std::size_t CycleSchedule::peak_live() const {
+  // Ids are numbered by first use, so the ids built by split t are those
+  // below one past the largest id seen so far.
+  std::size_t peak = 0;
+  std::size_t built = 0;
+  for (std::size_t t = 0; t < halves.size(); ++t) {
+    for (int id : halves[t]) {
+      built = std::max(built, static_cast<std::size_t>(id) + 1);
+    }
+    std::size_t live = 0;
+    for (std::size_t id = 0; id < built; ++id) live += last_use[id] >= t;
+    peak = std::max(peak, live);
+  }
+  return peak;
 }
 
 }  // namespace ccbt

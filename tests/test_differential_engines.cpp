@@ -34,14 +34,16 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
 }
 
 QueryGraph pick_query(std::uint64_t die) {
-  switch (die % 8) {
+  switch (die % 10) {
     case 0: return q_glet1();
     case 1: return q_glet2();
     case 2: return q_wiki();
     case 3: return q_youtube();
     case 4: return q_dros();
-    case 5: return q_cycle(4 + static_cast<int>(die / 8 % 3));  // C4..C6
-    case 6: return q_path(3 + static_cast<int>(die / 8 % 3));
+    case 5: return q_cycle(4 + static_cast<int>(die / 10 % 3));  // C4..C6
+    case 6: return q_path(3 + static_cast<int>(die / 10 % 3));
+    case 7: return q_ecoli2();  // shared halves with a node annotation
+    case 8: return q_brain3();  // tracked slots, both child orientations
     default: return q_cycle(5);
   }
 }
@@ -96,7 +98,7 @@ TEST(DifferentialEngines, RandomConfigsAgreeAcrossEnginesAndWidths) {
     SCOPED_TRACE(c.describe());
     const CsrGraph g = erdos_renyi(c.n, c.m, c.seed * 13 + 5);
     Rng qrng(c.seed * 17 + 3);
-    const QueryGraph q = pick_query(qrng.below(24));
+    const QueryGraph q = pick_query(qrng.below(30));
     SCOPED_TRACE(q.name());
     const Plan plan = make_plan(q);
 

@@ -50,6 +50,10 @@ void expect_parity(const CsrGraph& g, const QueryGraph& q, Algo algo,
   EXPECT_DOUBLE_EQ(dist.avg_rank_ops, shared.avg_rank_ops) << label;
   EXPECT_EQ(dist.total_comm, shared.total_comm) << label;
   EXPECT_DOUBLE_EQ(dist.sim_time, shared.sim_time) << label;
+  // Both engines follow one split schedule, building each distinct half
+  // once per cycle block.
+  EXPECT_EQ(dist.path_builds, shared.path_builds) << label;
+  EXPECT_EQ(dist.path_reuses, shared.path_reuses) << label;
 }
 
 // ---------------------------------------------------------------------
@@ -131,7 +135,9 @@ INSTANTIATE_TEST_SUITE_P(
                       ParityCase{"youtube", Algo::kDB, 32},
                       ParityCase{"dros", Algo::kDB, 8},
                       ParityCase{"ecoli1", Algo::kPSEven, 8},
-                      ParityCase{"ecoli1", Algo::kDB, 8}),
+                      ParityCase{"ecoli1", Algo::kDB, 8},
+                      ParityCase{"ecoli2", Algo::kDB, 8},
+                      ParityCase{"brain3", Algo::kDB, 8}),
     [](const ::testing::TestParamInfo<ParityCase>& info) {
       std::string algo = algo_name(info.param.algo);
       for (char& c : algo) {
@@ -140,6 +146,26 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.query) + "_" + algo + "_R" +
              std::to_string(info.param.ranks);
     });
+
+TEST(DistEngine, BothEnginesBuildEachDistinctHalfOnce) {
+  // ecoli2's root 6-cycle merges 12 DB halves, 5 of them distinct; a
+  // bare C5 merges 10, 2 of them distinct (split_plan's schedule_for).
+  const CsrGraph g = chung_lu_power_law(300, 1.5, 6.0, 21);
+  struct Case {
+    QueryGraph q;
+    std::uint64_t builds, reuses;
+  };
+  for (const Case& c : {Case{named_query("ecoli2"), 5, 7},
+                        Case{q_cycle(5), 2, 8}}) {
+    const Coloring chi(g.num_vertices(), c.q.num_nodes(), 77);
+    const ExecStats shared = shared_run(g, c.q, chi, Algo::kDB, 4);
+    const DistStats dist = dist_run(g, c.q, chi, Algo::kDB, 4);
+    EXPECT_EQ(shared.path_builds, c.builds) << c.q.name();
+    EXPECT_EQ(shared.path_reuses, c.reuses) << c.q.name();
+    EXPECT_EQ(dist.path_builds, c.builds) << c.q.name();
+    EXPECT_EQ(dist.path_reuses, c.reuses) << c.q.name();
+  }
+}
 
 // At B = 8 the two load models agree exactly on these plans; on
 // youtube, dros, ecoli1 and ecoli2 the distributed model charges
@@ -169,6 +195,8 @@ BatchRuns batch8_runs(const QueryGraph& q) {
         << q.name() << " lane " << l;
   }
   EXPECT_EQ(out.dist.total_comm, out.shared.total_comm) << q.name();
+  EXPECT_EQ(out.dist.path_builds, out.shared.path_builds) << q.name();
+  EXPECT_EQ(out.dist.path_reuses, out.shared.path_reuses) << q.name();
   return out;
 }
 
@@ -182,7 +210,7 @@ TEST_P(DistParityB8, MatchesSharedEngineModel) {
 
 INSTANTIATE_TEST_SUITE_P(Batch8, DistParityB8,
                          ::testing::Values("triangle", "glet1", "glet2",
-                                           "wiki", "brain2"));
+                                           "wiki", "brain2", "brain3"));
 
 TEST(DistEngine, Batch8CountsAndCommAgreeWhereOpsDiffer) {
   for (const char* name : {"youtube", "dros", "ecoli1", "ecoli2"}) {
