@@ -2,7 +2,7 @@
 // Superstep checkpoints for the fault-tolerant distributed engine.
 //
 // A checkpoint is a byte-level snapshot of the sealed-shard state that
-// persists across supersteps: every child-block table the DistPool has
+// persists across supersteps: every child-block table the engine has
 // stored so far, plus the position (next block, transport superstep) the
 // engine replays from. A checkpoint taken between the split passes of a
 // cycle block also holds that block's per-rank merge sinks and the next

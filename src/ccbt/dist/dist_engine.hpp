@@ -4,13 +4,16 @@
 // run_plan_distributed executes the same decomposition-tree plan as the
 // shared-memory run_plan, but with every projection table physically
 // sharded across `ranks` virtual ranks (DistTable) and every join
-// emission routed through VirtualComm supersteps. The engine charges the
-// BSP load model exactly as the shared engine does — same phases, same
-// per-entry operation counts — so a distributed run reproduces the
-// shared run's colorful count AND its modeled load (total/max/avg ops,
-// sim_time, modeled comm) bit for bit, while additionally reporting what
-// the model cannot see: the actual transport volume, including the
-// resharding and orientation supersteps a real MPI implementation pays.
+// emission routed through VirtualComm supersteps. Both engines run one
+// plan interpreter (engine/interpreter.hpp) over the same join kernels,
+// so a distributed run reproduces the shared run's colorful counts, and
+// reports what the load model cannot see: the actual transport volume,
+// including the resharding and orientation supersteps a real MPI
+// implementation pays. The modeled load (total/max/avg ops, sim_time,
+// modeled comm) matches the shared run bit for bit at B = 1; at B > 1 it
+// matches only on some plans (test_dist_engine's DistParityB8 pins
+// them), and on youtube, dros, ecoli1 and ecoli2 the distributed model
+// still charges slightly more ops (ROADMAP item 5).
 //
 // Fault tolerance (ExecOptions::dist): a seeded FaultPlan can drop,
 // duplicate, or delay superstep messages, stall ranks, and fail table
@@ -24,68 +27,32 @@
 // recovered run's per-lane counts are bit-identical to the fault-free
 // run; DistStats::faults reports what the recovery cost.
 
-#include <array>
 #include <cstdint>
 
 #include "ccbt/decomp/block.hpp"
 #include "ccbt/dist/comm.hpp"
 #include "ccbt/dist/dist_table.hpp"
 #include "ccbt/engine/exec_context.hpp"
+#include "ccbt/engine/executor.hpp"
 #include "ccbt/graph/coloring.hpp"
 #include "ccbt/graph/csr_graph.hpp"
 
 namespace ccbt {
 
-struct DistStats {
-  /// Lane-0 colorful count (the full answer of a single-coloring run).
-  Count colorful = 0;
-
-  /// Per-lane colorful counts; lanes_used entries are meaningful.
-  std::array<Count, kMaxBatchLanes> colorful_lane{};
-  int lanes_used = 1;
-
-  double wall_seconds = 0.0;
-
-  /// Cycle blocks' half-path tables built, and split halves merged from
-  /// a live table (see ExecStats). A checkpoint resume inside a block
-  /// rebuilds its live halves, so builds may exceed the shared run's.
-  std::uint64_t path_builds = 0;
-  std::uint64_t path_reuses = 0;
-
-  // Modeled load — exact parity with the shared engine's ExecStats when
-  // run with sim_ranks == ranks.
-  double sim_time = 0.0;
-  std::uint64_t total_ops = 0;
-  std::uint64_t max_rank_ops = 0;
-  double avg_rank_ops = 0.0;
-  std::uint64_t total_comm = 0;
-
-  // Physical transport accounting (supersteps, entries moved, off-rank
-  // volume) — a superset of the modeled communication. At B > 1 the
-  // transport serializes the lane-compressed wire format, so
-  // transport.off_rank_bytes() tracks true lane density.
+/// ExecStats, filled by the same interpreter, plus what only a transport
+/// sees. The modeled load fields match the shared engine's run with
+/// sim_ranks == ranks (see the header comment for where exactly); a
+/// checkpoint resume inside a cycle block rebuilds its live halves, so
+/// path_builds may exceed the shared run's; `faults` reports the injected
+/// faults, retries, checkpoints and replays (all-zero when
+/// ExecOptions::dist is default), and `stage.transport` the virtual-MPI
+/// exchanges, inbox collection and resharding supersteps.
+struct DistStats : ExecStats {
+  /// Physical transport accounting (supersteps, entries moved, off-rank
+  /// volume) — a superset of the modeled communication. At B > 1 the
+  /// transport serializes the lane-compressed wire format, so
+  /// transport.off_rank_bytes() tracks true lane density.
   CommStats transport;
-
-  /// Lane-layout telemetry over the run's sorting seals (B > 1; see
-  /// ExecStats::lanes).
-  LaneTelemetry lanes;
-
-  /// Per-stage wall breakdown (see ExecStats::stage); here `transport`
-  /// covers the virtual-MPI exchanges, inbox collection, and resharding
-  /// supersteps.
-  StageWall stage;
-
-  /// B > 1 accumulation telemetry (see ExecStats::accum). Stays zero as
-  /// long as the distributed supersteps accumulate through hashed
-  /// AccumMap sinks rather than flat rows; present so ExecStats and
-  /// DistStats expose one shape to estimator-level aggregation.
-  AccumTelemetry accum;
-
-  /// Fault-tolerance scoreboard: faults injected by the configured
-  /// FaultPlan, delivery retries and their modeled backoff, checkpoint
-  /// snapshots taken and their byte cost, and rollback replays. All-zero
-  /// when ExecOptions::dist is default (no injection, no checkpoints).
-  FaultStats faults;
 
   /// Did the run recover from at least one injected fault?
   bool recovered() const {
@@ -94,15 +61,15 @@ struct DistStats {
 };
 
 /// Count the colorful matches of the plan's query under `chi` on a
-/// virtual cluster of `ranks` ranks. Throws Error for a rootless tree or
-/// zero ranks, BudgetExceeded when a table outgrows the configured
-/// budget.
+/// virtual cluster of `ranks` ranks. Throws Error(kUnsupportedQuery) for
+/// a malformed plan, Error for zero ranks, BudgetExceeded when a table
+/// outgrows the configured budget.
 DistStats run_plan_distributed(const CsrGraph& g, const DecompTree& tree,
                                const Coloring& chi, std::uint32_t ranks,
                                ExecOptions opts = {});
 
 /// Batched variant: one distributed execution over every lane of `batch`
-/// (1, 2, 4 or 8 lanes — other widths throw Error). Lane l of
+/// (1, 2, 4 or 8 lanes — other widths throw Error(kUnsupportedQuery)). Lane l of
 /// stats.colorful_lane matches a single-coloring distributed run under
 /// batch.lane(l); supersteps serialize whole lane-count vectors.
 DistStats run_plan_distributed(const CsrGraph& g, const DecompTree& tree,

@@ -137,15 +137,6 @@ class DistTableT {
     return shards_[rank];
   }
 
-  /// Per-shard lane-0 totals, one slot per rank (allreduce input).
-  std::vector<Count> shard_totals() const {
-    std::vector<Count> parts(shards_.size(), 0);
-    for (std::size_t r = 0; r < shards_.size(); ++r) {
-      parts[r] = shards_[r].total();
-    }
-    return parts;
-  }
-
   /// Per-shard per-lane totals (lane-wise allreduce input).
   std::vector<Vec> shard_lane_totals() const {
     std::vector<Vec> parts(shards_.size());

@@ -52,14 +52,14 @@ struct ExecStats {
 
   /// Fault-tolerance scoreboard (injected faults, retries, replays,
   /// checkpoint cost). All-zero for shared-memory runs, which have no
-  /// transport to fail; present so ExecStats and DistStats expose one
-  /// shape to estimator-level aggregation.
+  /// transport to fail.
   FaultStats faults;
 };
 
 /// Count the colorful matches of the plan's query under every lane of
-/// cx.chi (1, 2, 4 or 8 lanes — other widths throw Error).
-/// Throws BudgetExceeded when a table outgrows the configured budget.
+/// cx.chi (1, 2, 4 or 8 lanes). Throws Error(kUnsupportedQuery) for a
+/// malformed plan or another width, BudgetExceeded when a table outgrows
+/// the configured budget.
 ExecStats run_plan(const ExecContext& cx, const DecompTree& tree);
 
 }  // namespace ccbt

@@ -52,6 +52,26 @@ std::vector<PathStep> path_steps(const Block& blk, const PathSpec& spec) {
   return out;
 }
 
+std::vector<PathStep> leaf_steps(const Block& blk) {
+  if (blk.kind != BlockKind::kLeafEdge) {
+    throw Error(ErrorCode::kUnsupportedQuery,
+                "leaf_steps: not a leaf-edge block");
+  }
+  PathStep init;
+  init.child = blk.edge_child[0];
+  init.transposed = init.child >= 0 && blk.edge_child_flip[0];
+  std::vector<PathStep> out{init};
+  for (const int slot : {1, 0}) {
+    if (blk.node_child[slot] < 0) continue;
+    PathStep st;
+    st.op = PathStep::Op::kNodeJoin;
+    st.child = blk.node_child[slot];
+    st.slot = slot;
+    out.push_back(st);
+  }
+  return out;
+}
+
 SplitPlan make_split(const Block& blk, int s, int e, bool anchor_higher) {
   const int L = blk.length();
   auto wrap = [L](int x) { return ((x % L) + L) % L; };

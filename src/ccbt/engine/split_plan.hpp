@@ -1,6 +1,6 @@
 #pragma once
-// Cycle split plans and half-path walks shared by the shared-memory and
-// distributed solvers.
+// Cycle split plans and the step lists of half-path walks and leaf edges,
+// which the plan interpreter (interpreter.hpp) runs for both engines.
 //
 // A SplitPlan lays out the two half-cycle walks for a split at (anchor s,
 // end e) together with the merge spec that projects the block's boundary
@@ -11,11 +11,11 @@
 // anchor choice and restricts to high-starting paths.
 //
 // path_steps turns a walk into the list of primitives that build its
-// table; both engines interpret that list. Two halves with equal step
-// lists are the same table, so schedule_for orders a block's splits and
-// numbers their distinct halves: a solver builds each distinct half once
-// per block (DB's L anchor choices repeat most of their halves), merges it
-// into every split that names it, and frees it after its last use.
+// table. Two halves with equal step lists are the same table, so
+// schedule_for orders a block's splits and numbers their distinct halves:
+// a solver builds each distinct half once per block (DB's L anchor choices
+// repeat most of their halves), merges it into every split that names it,
+// and frees it after its last use.
 
 #include <array>
 #include <cstddef>
@@ -90,6 +90,12 @@ bool needs_transpose(const Block& blk, int edge, bool forward);
 /// The primitives that build `spec`'s table, in order.
 std::vector<PathStep> path_steps(const Block& blk, const PathSpec& spec);
 
+/// The primitives that build a leaf-edge block's binary table, keyed
+/// (π(a) = slot 0, π(b) = slot 1) for boundary node a and leaf b: init
+/// from the graph or the edge's child, then node joins of b's and a's
+/// annotations. Throws Error(kUnsupportedQuery) for any other block.
+std::vector<PathStep> leaf_steps(const Block& blk);
+
 /// Split `blk` at anchor position s and end position e; `anchor_higher`
 /// imposes the DB high-starting constraint on both walks.
 SplitPlan make_split(const Block& blk, int s, int e, bool anchor_higher);
@@ -118,11 +124,5 @@ struct CycleSchedule {
 };
 
 CycleSchedule schedule_for(const Block& blk, Algo algo);
-
-/// Half-path tables a run built, and halves it merged from a live table.
-struct PathCounts {
-  std::uint64_t builds = 0;
-  std::uint64_t reuses = 0;
-};
 
 }  // namespace ccbt

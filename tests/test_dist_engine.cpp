@@ -13,6 +13,8 @@
 #include "ccbt/core/color_coding.hpp"
 #include "ccbt/core/exact.hpp"
 #include "ccbt/dist/dist_engine.hpp"
+#include "ccbt/engine/executor.hpp"
+#include "ccbt/graph/degree_order.hpp"
 #include "ccbt/graph/generators.hpp"
 #include "ccbt/query/catalog.hpp"
 #include "ccbt/query/random_tw2.hpp"
@@ -239,6 +241,58 @@ TEST(DistEngine, ParityOnRandomTw2Queries) {
     const QueryGraph q = random_tw2_query(qo, seed);
     expect_parity(g, q, Algo::kDB, 8, 40 + seed);
   }
+}
+
+// One interpreter fills the shared stats fields of both engines: at B = 1
+// a block table holds one row per key in either engine, so the largest
+// block table is the same size.
+TEST(DistEngine, PeakTableEntriesMatchSharedEngine) {
+  const CsrGraph g = chung_lu_power_law(300, 1.5, 6.0, 21);
+  for (const char* name : {"glet1", "wiki", "dros", "ecoli2", "brain3"}) {
+    const QueryGraph q = named_query(name);
+    const Coloring chi(g.num_vertices(), q.num_nodes(), 77);
+    const ExecStats shared = shared_run(g, q, chi, Algo::kDB, 8);
+    const DistStats dist = dist_run(g, q, chi, Algo::kDB, 8);
+    EXPECT_GT(dist.peak_table_entries, 0u) << name;
+    EXPECT_EQ(dist.peak_table_entries, shared.peak_table_entries) << name;
+  }
+}
+
+// Both engines reject a plan without a root, and a batch width outside
+// {1, 2, 4, 8}, with the same typed error.
+TEST(DistEngine, MalformedPlansThrowUnsupportedQueryInBothEngines) {
+  const CsrGraph g = erdos_renyi(20, 40, 3);
+  const QueryGraph q = q_cycle(4);
+  const Plan plan = make_plan(q);
+  DecompTree rootless = plan.tree;
+  rootless.root = -1;
+  std::vector<Coloring> lanes;
+  for (int l = 0; l < 3; ++l) {
+    lanes.emplace_back(g.num_vertices(), q.num_nodes(), 60 + l);
+  }
+  const ColoringBatch three{std::span<const Coloring>(lanes)};
+  const ColoringBatch one(lanes[0]);
+  const DegreeOrder order(g);
+  auto shared = [&](const DecompTree& tree, const ColoringBatch& batch) {
+    const ExecContext cx{g, batch, order,
+                         BlockPartition(g.num_vertices(), 1)};
+    run_plan(cx, tree);
+  };
+  auto expect_unsupported = [](const auto& run, const char* what) {
+    try {
+      run();
+      ADD_FAILURE() << what << ": expected an error";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kUnsupportedQuery)
+          << what << ": " << e.what();
+    }
+  };
+  expect_unsupported([&] { shared(rootless, one); }, "run_plan, no root");
+  expect_unsupported([&] { shared(plan.tree, three); }, "run_plan, 3 lanes");
+  expect_unsupported([&] { run_plan_distributed(g, rootless, one, 2); },
+                     "run_plan_distributed, no root");
+  expect_unsupported([&] { run_plan_distributed(g, plan.tree, three, 2); },
+                     "run_plan_distributed, 3 lanes");
 }
 
 // ---------------------------------------------------------------------

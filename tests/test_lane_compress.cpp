@@ -21,7 +21,7 @@
 #include "ccbt/dist/comm.hpp"
 #include "ccbt/dist/dist_engine.hpp"
 #include "ccbt/dist/dist_table.hpp"
-#include "ccbt/engine/path_builder.hpp"
+#include "ccbt/engine/local_store.hpp"
 #include "ccbt/engine/primitives.hpp"
 #include "ccbt/graph/generators.hpp"
 #include "ccbt/query/catalog.hpp"
@@ -825,7 +825,7 @@ TEST(StoredTables, StayDenseAfterStoreTransposeAndRestore) {
   expect_dense_probe_matches_scan<B>(pool.oriented(0, true), n,
                                      "transposed binary");
 
-  // Checkpoint restore: DistPool::restore decodes each shard image and
+  // Checkpoint restore: DistStore::restore decodes each shard image and
   // rebuilds the table with from_shard_rows, sealed kByV0.
   const ProjTableT<B>& stored = pool.get(0);
   const std::uint32_t ranks = 3;

@@ -177,6 +177,44 @@ TEST(SplitPlan, PathStepsFollowTheWalk) {
   EXPECT_TRUE(path_steps(b, rev.minus)[0].transposed);
 }
 
+TEST(SplitPlan, LeafStepsJoinTheLeafThenTheBoundary) {
+  // Leaf edge a -> b: init from the (flipped) edge child, then b's
+  // annotation at the frontier slot, then a's at the anchor slot.
+  Block leaf;
+  leaf.kind = BlockKind::kLeafEdge;
+  leaf.nodes = {0, 1};
+  leaf.boundary_pos = {0};
+  leaf.node_child = {4, 5};
+  leaf.edge_child = {6};
+  leaf.edge_child_flip = {true};
+  const std::vector<PathStep> steps = leaf_steps(leaf);
+  ASSERT_EQ(steps.size(), 3u);
+  EXPECT_EQ(steps[0].op, PathStep::Op::kInit);
+  EXPECT_EQ(steps[0].child, 6);
+  EXPECT_TRUE(steps[0].transposed);
+  EXPECT_EQ(steps[0].track_slot, -1);
+  EXPECT_FALSE(steps[0].anchor_higher);
+  EXPECT_EQ(steps[1].op, PathStep::Op::kNodeJoin);
+  EXPECT_EQ(steps[1].child, 5);
+  EXPECT_EQ(steps[1].slot, 1);
+  EXPECT_EQ(steps[2].op, PathStep::Op::kNodeJoin);
+  EXPECT_EQ(steps[2].child, 4);
+  EXPECT_EQ(steps[2].slot, 0);
+  // A bare query edge reads the graph, whatever the flip flag says.
+  leaf.node_child = {-1, -1};
+  leaf.edge_child = {-1};
+  const std::vector<PathStep> bare = leaf_steps(leaf);
+  ASSERT_EQ(bare.size(), 1u);
+  EXPECT_EQ(bare[0].child, -1);
+  EXPECT_FALSE(bare[0].transposed);
+  try {
+    leaf_steps(cycle_block(5, {0}));
+    ADD_FAILURE() << "expected an error for a cycle block";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kUnsupportedQuery);
+  }
+}
+
 // --- schedule_for: one table per distinct half.
 
 const Block& root_block(const Plan& plan) {
